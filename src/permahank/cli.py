@@ -13,7 +13,8 @@ Verbs:
   verify       run the verification suite over a shape or grid
 
 Exit codes: 0 success (all checks pass), 1 at least one verification
-failure (reports are still emitted), 2 usage or domain error.
+failure (reports are still emitted), 2 usage or domain error, or a
+computation stopped by its limit (the saturation cap PERMAHANK_MAX_ITERS).
 
 Text output is byte-deterministic.  JSON verification reports carry a
 wall-clock "millis" field and are deterministic in all other fields.
@@ -36,7 +37,7 @@ from .verify import (
     closed_form_gb,
     decomposition_summary,
     default_grid,
-    run_case,
+    run_all,
 )
 
 
@@ -245,9 +246,7 @@ def _cmd_verify(args):
                 f"--max-vars budget of {args.max_vars}"
             )
         shapes.append((m, n))
-    reports = []
-    for m, n in sorted(set(shapes)):
-        reports.extend(run_case(Case(m, n, args.char), checks, args.samples))
+    reports = run_all(sorted(set(shapes)), args.char, checks, args.samples)
     npass = sum(1 for r in reports if r.passed)
     if args.format == "json":
         _emit_json([r.to_dict() for r in reports], args)
@@ -384,7 +383,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

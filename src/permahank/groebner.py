@@ -397,14 +397,3 @@ def is_groebner(G, order=LEX):
             if r:
                 return False, (G[i], G[j], Polynomial._raw(ring, r))
     return True, None
-
-
-def member(f, I, order=LEX):
-    """Ideal membership test; I may be an Ideal, a GroebnerBasis or generators."""
-    if hasattr(I, "reduced_basis"):
-        basis = I.reduced_basis(order)
-    elif isinstance(I, GroebnerBasis):
-        basis = I
-    else:
-        basis = buchberger(tuple(I), order)
-    return basis.contains(f)

@@ -2,17 +2,18 @@
 saturation, radical membership and equality.
 
 Intersections go through the classic auxiliary-variable construction:
-I cap J = (t*I + (t-1)*J) cap R, computed with an elimination order in an
-extended ring whose variable t is never visible to callers.  Colons divide
-the generators of I cap (f) exactly by f, and saturation iterates colons
-until the chain stabilizes, reporting the stabilization exponent.
+I cap J = (t*I + (t-1)*J) cap R, computed under lex in an extended ring
+whose variable t, prepended as the largest, is never visible to callers.
+Colons divide the generators of I cap (f) exactly by f, and saturation
+iterates colons until the chain stabilizes, reporting the stabilization
+exponent.
 """
 
 from __future__ import annotations
 
 import os
 
-from .ring import LEX, Polynomial, _BITS, elim, extend, lift, restrict
+from .ring import LEX, Polynomial, _BITS, extend, lift, restrict
 from .groebner import GroebnerBasis, buchberger
 
 DEFAULT_SATURATION_CAP = 64
@@ -93,16 +94,6 @@ class Ideal:
         return f"Ideal({len(self.generators)} generators, {self.ring!r})"
 
 
-def add(I, J):
-    """The ideal I + J."""
-    return I + J
-
-
-def product(I, J):
-    """The ideal I*J, generated by pairwise products."""
-    return I * J
-
-
 def _working_gens(I):
     # prefer an already-computed basis; never force one just to intersect
     b = I._cache.get(LEX)
@@ -125,7 +116,7 @@ def intersect(I, J):
     u = t - 1
     gens = [t * lift(f, ext) for f in _working_gens(I)]
     gens += [u * lift(g, ext) for g in _working_gens(J)]
-    basis = buchberger(gens, elim(1))
+    basis = buchberger(gens, LEX)
     bound = 1 << (ring.nvars * _BITS)
     elems = [restrict(e, ring) for e in basis if max(e._d) < bound]
     found = GroebnerBasis(tuple(elems), LEX, True, True)
@@ -187,8 +178,16 @@ def saturate(I, f, max_iters=None):
     it raises, since the chain must stabilize in a Noetherian ring.
     """
     if max_iters is None:
-        max_iters = int(os.environ.get("PERMAHANK_MAX_ITERS", DEFAULT_SATURATION_CAP))
-    if max_iters < 1:
+        raw = os.environ.get("PERMAHANK_MAX_ITERS", DEFAULT_SATURATION_CAP)
+        try:
+            max_iters = int(raw)
+        except ValueError:
+            max_iters = 0
+        if max_iters < 1:
+            raise ValueError(
+                f"PERMAHANK_MAX_ITERS must be a positive integer, got {raw!r}"
+            )
+    elif max_iters < 1:
         raise ValueError("iteration cap must be positive")
     prev = I
     n = 0
@@ -255,8 +254,6 @@ def why_unequal(I, J):
 
 def polys_to_dict(ring, polys, order=LEX, extra=None):
     """JSON-ready description of a generator list over a default-named ring."""
-    if order.kind not in ("lex", "deglex"):
-        raise ValueError("only lex and deglex orders serialize")
     d = {
         "vars": ring.nvars,
         "char": ring.char,

@@ -61,28 +61,23 @@ def _is_prime(k):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: 'lex', 'deglex' or 'elim' (block of leading variables).
+    """A monomial order: 'lex' or 'deglex'.
 
-    An elimination order elim(k) ranks any monomial involving one of the k
-    leading variables above every monomial in the remaining ones, comparing
-    blocks by lex.  On packed monomials that coincides with plain lex, so
-    both share the identity sort key; the kinds stay distinct for intent.
+    Lex on packed monomials is plain integer comparison, so it also
+    serves as the elimination order for auxiliary variables prepended by
+    `extend`: any monomial involving one of them ranks above every
+    monomial in the original variables.
     """
 
     kind: str
-    block: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("lex", "deglex", "elim"):
+        if self.kind not in ("lex", "deglex"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
-        if self.kind == "elim" and self.block < 1:
-            raise ValueError("elimination order needs a positive block size")
-        if self.kind != "elim" and self.block:
-            raise ValueError(f"{self.kind} order takes no block size")
 
     @property
     def is_lexlike(self):
-        return self.kind != "deglex"
+        return self.kind == "lex"
 
     def key(self):
         """Sort key on packed monomials; larger key means larger monomial."""
@@ -93,11 +88,6 @@ class MonomialOrder:
 
 LEX = MonomialOrder("lex")
 DEGLEX = MonomialOrder("deglex")
-
-
-def elim(k):
-    """Elimination order whose first k variables dominate all the others."""
-    return MonomialOrder("elim", k)
 
 
 class Ring:

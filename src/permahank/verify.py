@@ -29,7 +29,6 @@ from itertools import combinations, permutations, product as iproduct
 from .ring import LEX
 from .groebner import (
     GroebnerBasis,
-    buchberger,
     inter_reduce,
     is_groebner,
     normal_form,
@@ -125,10 +124,7 @@ def closed_form_gb(case):
     """
     x = case.x
     n, last = case.n, case.nvars
-    gens = [
-        x(i) * x(i + s + t) + x(i + s) * x(i + t)
-        for i, s, t in permanent_index_triples(case.m, case.n)
-    ]
+    gens = permanent_generators(case.matrix)
     cls = case.shape_class
     if cls is ShapeClass.TWO_BY_N:
         gens += [x(i) ** 2 * x(i + 1) for i in range(2, n)]
@@ -374,37 +370,16 @@ def verify_gb(case):
     return _report(claim, case, t0, failures, detail)
 
 
-def _colon_chain(I, f, target, failures, tag):
-    """Colon I by f, f^2, f^3; assert the square and cube hit the target.
-
-    Returns the stabilization exponent: the smallest k with
-    (I : f^k) = (I : f^(k+1)), which must be at most 2.
-    """
-    c1 = colon(I, f)
-    c2 = colon(I, f * f)
-    c3 = colon(I, f * f * f)
-    if not equal(c2, target):
-        w = why_unequal(c2, target)
-        failures.append({"kind": f"{tag}_square_mismatch", "witness": str(w)})
-    if not equal(c3, target):
-        w = why_unequal(c3, target)
-        failures.append({"kind": f"{tag}_cube_mismatch", "witness": str(w)})
-    if equal(I, c1):
-        return 0
-    if equal(c1, c2):
-        return 1
-    if equal(c2, c3):
-        return 2
-    failures.append({"kind": f"{tag}_chain_not_stable"})
-    return 3
-
-
 def verify_decomposition(case):
-    """Check P2 = Q1 cap Q2 cap J together with the colon chains.
+    """Check P2 = Q1 cap Q2 cap J on the components decompose computes.
 
-    Asserts (P2 : x_{r+1}^2) = (P2 : x_{r+1}^3) = Q1, the analogous chain
-    ((P2 + (x_{r+1}^2)) : x1^k) = Q2, stabilization exponents at most 2,
-    that the radical of J is the full maximal ideal, and that the triple
+    Q1 and Q2 come from decomposition_summary, whose saturate computes
+    c_{k+1} = (c_k : f).  Since ((I : f^k) : f) = (I : f^(k+1)), it returns
+    S = (I : f^n) with (I : f^n) = (I : f^(n+1)), and the chain is stable
+    from n on.  So S = Q1 with n <= 2 is the claim
+    (P2 : x_{r+1}^2) = (P2 : x_{r+1}^3) = Q1, and likewise
+    ((P2 + (x_{r+1}^2)) : x1^k) = Q2 for k = 2, 3.  Also asserts that the
+    radical of J is the full maximal ideal and that the triple
     intersection recovers P2.  The detail records whether J is genuinely
     embedded (Q1 cap Q2 != P2) for this shape.
     """
@@ -412,13 +387,15 @@ def verify_decomposition(case):
     claim = "decomp.main"
     failures = []
     p2 = case.p2
-    Q1, Q2, J = q1(case), q2(case), embedded_j(case)
-    f = case.x(case.r + 1)
-    g = case.x(1)
+    s = decomposition_summary(case)
+    J = s["j"]
 
-    stab1 = _colon_chain(p2, f, Q1, failures, "q1")
-    I2 = p2 + f * f
-    stab2 = _colon_chain(I2, g, Q2, failures, "q2")
+    for tag, closed in (("q1", q1(case)), ("q2", q2(case))):
+        if not equal(s[tag], closed):
+            w = why_unequal(s[tag], closed)
+            failures.append({"kind": f"{tag}_mismatch", "witness": str(w)})
+        if s[f"{tag}_stab"] > 2:
+            failures.append({"kind": f"{tag}_chain_not_stable"})
 
     if J.is_unit:
         failures.append({"kind": "j_is_unit_ideal"})
@@ -433,8 +410,11 @@ def verify_decomposition(case):
         failures.append(
             {"kind": "triple_intersection_mismatch", "witness": str(why_unequal(triple, p2))}
         )
-    embedded = not equal(case.q1q2, p2)
-    detail = f"q1_stab={stab1} q2_stab={stab2} embedded={'yes' if embedded else 'no'}"
+    embedded = not s["j_redundant"]
+    detail = (
+        f"q1_stab={s['q1_stab']} q2_stab={s['q2_stab']} "
+        f"embedded={'yes' if embedded else 'no'}"
+    )
     return _report(claim, case, t0, failures, detail)
 
 
@@ -462,7 +442,7 @@ def decomposition_summary(case):
         "j": embedded_j(case),
         "q1_stab": stab1,
         "q2_stab": stab2,
-        "j_redundant": equal(case.q1q2, p2),
+        "j_redundant": not classify_embedded(case),
     }
 
 
@@ -551,6 +531,14 @@ def verify_associated_maximal(case):
     return _report(claim, case, t0, failures, detail)
 
 
+def _monomial(ring, indices, c=1):
+    """The monomial c * x_i * x_j * ... for 1-based variable indices."""
+    exps = [0] * ring.nvars
+    for i in indices:
+        exps[i - 1] += 1
+    return ring.monomial(tuple(exps), c)
+
+
 def verify_reduction_lemma(case):
     """Every x_i*x_j and x_i*x_j*x_k rewrites to its balanced middle form.
 
@@ -566,12 +554,6 @@ def verify_reduction_lemma(case):
     ring = case.ring
     H = permanent_generators(case.matrix)
 
-    def mono(idx):
-        exps = [0] * nvars
-        for i in idx:
-            exps[i - 1] += 1
-        return tuple(exps)
-
     def run(idx, target):
         sign, final = rewrite_monomial_indices(m, n, idx)
         if final != target:
@@ -579,8 +561,8 @@ def verify_reduction_lemma(case):
                 {"kind": "oracle_off_target", "monomial": list(idx), "got": list(final)}
             )
             return
-        nf = normal_form(ring.monomial(mono(idx)), H)
-        expected = ring.monomial(mono(final), sign)
+        nf = normal_form(_monomial(ring, idx), H)
+        expected = _monomial(ring, final, sign)
         if nf != expected:
             failures.append(
                 {
@@ -627,15 +609,9 @@ def verify_membership_lemmas(case):
     t0 = time.perf_counter()
     claim = "lemma.membership"
     failures = []
-    m, n, nvars = case.m, case.n, case.nvars
+    m, n = case.m, case.n
     ring = case.ring
     basis = case.p2.reduced_basis()
-
-    def mono(idx):
-        exps = [0] * nvars
-        for i in idx:
-            exps[i - 1] += 1
-        return ring.monomial(tuple(exps))
 
     cubics = set()
     for cols in combinations(range(1, n + 1), 3):
@@ -647,7 +623,7 @@ def verify_membership_lemmas(case):
             if len(set(cols)) == 2:
                 cubics.add(tuple(sorted(r + c - 1 for r, c in zip(rows, cols))))
     for idx in sorted(cubics):
-        if not basis.contains(mono(idx)):
+        if not basis.contains(_monomial(ring, idx)):
             failures.append({"kind": "cubic_outside_ideal", "monomial": list(idx)})
             return _report(claim, case, t0, failures)
 
@@ -663,7 +639,7 @@ def verify_membership_lemmas(case):
                             idx.extend([v] * e)
                         quartics.add(tuple(sorted(idx)))
         for idx in sorted(quartics):
-            if not basis.contains(mono(idx)):
+            if not basis.contains(_monomial(ring, idx)):
                 failures.append({"kind": "quartic_outside_ideal", "monomial": list(idx)})
                 return _report(claim, case, t0, failures)
         checked = f"cubics={len(cubics)} quartics={len(quartics)}"

@@ -126,11 +126,31 @@ def test_verify_grid_parsing(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     bad = VerificationReport("gb.2xn", 2, 3, "fail", {"kind": "synthetic"}, "", 1)
-    monkeypatch.setattr("permahank.cli.run_case", lambda *a, **k: [bad])
+    monkeypatch.setattr("permahank.verify.run_case", lambda *a, **k: [bad])
     rc, out, _ = run(capsys, "verify", "--grid", "2x3")
     assert rc == 1
     assert "FAIL" in out and "synthetic" in out
     assert out.splitlines()[-1] == "0/1 checks passed"
+
+
+def test_saturation_cap_is_an_error_not_a_traceback(capsys, monkeypatch):
+    # both verbs saturate; the 3x4 chains stabilize at exponent 2, which
+    # takes three colons, so a cap of 1 stops them
+    monkeypatch.setenv("PERMAHANK_MAX_ITERS", "1")
+    for argv in (
+        ["decompose", "--m", "3", "--n", "4"],
+        ["verify", "--m", "3", "--n", "4", "--check", "decomp"],
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_malformed_saturation_cap_is_named(capsys, monkeypatch):
+    for value in ("abc", "0"):
+        monkeypatch.setenv("PERMAHANK_MAX_ITERS", value)
+        rc, _, err = run(capsys, "decompose", "--m", "3", "--n", "4")
+        assert rc == 2 and "PERMAHANK_MAX_ITERS" in err
 
 
 def test_verify_char_p(capsys):

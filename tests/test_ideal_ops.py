@@ -6,7 +6,6 @@ from permahank import (
     HankelMatrix,
     Ideal,
     Ring,
-    add,
     colon,
     equal,
     ideal_from_dict,
@@ -14,7 +13,6 @@ from permahank import (
     parse,
     permanent_generators,
     polys_to_dict,
-    product,
     radical_member,
     saturate,
     why_unequal,
@@ -63,12 +61,10 @@ def test_add_and_product(R):
     J = ideal(R, "x2", "x3")
     S = I + J
     assert R.var(1) in S and R.var(3) in S
-    assert S.generators == add(I, J).generators
     P = I * J
     assert len(P.generators) == 2
     assert parse("x1*x2", R) in P
     assert R.var(1) not in P
-    assert product(I, J).generators == P.generators
     # polynomials and iterables also combine
     assert R.var(4) in (I + R.var(4))
     assert R.var(4) in (I + [R.var(4)])

@@ -233,6 +233,30 @@ def test_decomposition_summary_3x3():
     assert s["j_redundant"] is False
 
 
+@pytest.mark.parametrize(
+    "shape, detail",
+    [
+        ((2, 3), "q1_stab=2 q2_stab=1 embedded=no"),
+        ((3, 3), "q1_stab=2 q2_stab=2 embedded=yes"),
+        ((3, 5), "q1_stab=1 q2_stab=1 embedded=no"),
+        ((4, 6), "q1_stab=1 q2_stab=1 embedded=yes"),
+    ],
+)
+def test_decomposition_detail(shape, detail):
+    rep = verify_decomposition(Case(*shape))
+    assert rep.passed and rep.detail == detail
+
+
+def test_decomposition_rejects_a_wrong_closed_form(monkeypatch):
+    monkeypatch.setattr("permahank.verify.q1", lambda case: case.maximal_ideal)
+    rep = verify_decomposition(Case(2, 3))
+    assert not rep.passed
+    failures = rep.witness.get("failures", [rep.witness])
+    wrong = [f for f in failures if f["kind"].startswith("q1_")]
+    assert [f["kind"] for f in wrong] == ["q1_mismatch"]
+    assert wrong[0]["witness"] not in ("", "None")
+
+
 def test_triple_intersection_recovers_ideal():
     for shape in [(2, 3), (2, 4), (3, 3), (3, 5)]:
         case = Case(*shape)

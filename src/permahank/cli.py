@@ -225,6 +225,8 @@ def _cmd_classify(args):
 
 
 def _cmd_verify(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     checks = None if args.check == "all" else [args.check]
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:

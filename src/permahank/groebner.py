@@ -12,19 +12,11 @@ from __future__ import annotations
 
 from heapq import heappush, heappop
 
-from .ring import LEX, Polynomial, _BITS, _FMASK
+from .ring import LEX, Polynomial
 
-
-def _smask(m):
-    # bitset of occupied variable fields of a packed monomial
-    s = 0
-    b = 1
-    while m:
-        if m & _FMASK:
-            s |= b
-        m >>= _BITS
-        b <<= 1
-    return s
+# Support masks: with fill = guard - (guard >> 15), a 0x7FFF in every field,
+# (m + fill) & guard sets a field's guard bit exactly when its exponent is
+# nonzero.  Exact because every field is below 2**15, so no field carries.
 
 
 def _common_ring(polys):
@@ -39,6 +31,8 @@ def _common_ring(polys):
 
 def _prepare(polys, ring, order):
     """Reducer table: list of (lt, support mask, inverse lc, tail items)."""
+    g = ring.guard
+    fill = g - (g >> 15)
     red = []
     for f in polys:
         if f.is_zero:
@@ -47,7 +41,7 @@ def _prepare(polys, ring, order):
         red.append(
             (
                 lm,
-                _smask(lm),
+                (lm + fill) & g,
                 ring.inv(f._d[lm]),
                 tuple((m, c) for m, c in f._d.items() if m != lm),
             )
@@ -59,13 +53,14 @@ def _nf_dict(work, red, ring, order):
     """Fully reduce the term dict `work` (consumed) against the reducer table."""
     p = ring.char
     g = ring.guard
+    fill = g - (g >> 15)
     lexlike = order.is_lexlike
     key = None if lexlike else order.key()
     out = {}
     while work:
         m = max(work) if lexlike else max(work, key=key)
         c = work.pop(m)
-        mm = _smask(m)
+        mm = (m + fill) & g
         for lt, rm, inv, tail in red:
             if rm & ~mm:
                 continue
@@ -227,18 +222,19 @@ def _reduce_basis(dicts, lts, ring, order):
             continue
         keep.append(i)
         kept_lts.append(lt)
-    cur = {i: dicts[i] for i in keep}
-    for i in keep:
-        red = [
-            (lts[j], _smask(lts[j]), 1, tuple((m, c) for m, c in cur[j].items() if m != lts[j]))
-            for j in keep
-            if j != i
-        ]
-        r = _nf_dict(dict(cur[i]), red, ring, order)
-        assert lts[i] in r, "leading term lost during interreduction"
-        cur[i] = r
-    out = sorted(keep, key=lambda i: key(lts[i]), reverse=True)
-    return [cur[i] for i in out]
+    # One reducer table from the minimal basis.  An element's own leading
+    # term divides none of its tail terms (all smaller), so reducing the
+    # tail against the whole table equals reducing it against the others.
+    g = ring.guard
+    fill = g - (g >> 15)
+    tails = {i: {m: c for m, c in dicts[i].items() if m != lts[i]} for i in keep}
+    red = [(lts[i], (lts[i] + fill) & g, 1, tuple(tails[i].items())) for i in keep]
+    out = []
+    for i in sorted(keep, key=lambda i: key(lts[i]), reverse=True):
+        r = {lts[i]: dicts[i][lts[i]]}
+        r.update(_nf_dict(tails[i], red, ring, order))
+        out.append(r)
+    return out
 
 
 def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
@@ -274,6 +270,8 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
         return GroebnerBasis((), order, True, True)
     key = order.key()
     lexlike = order.is_lexlike
+    guard = ring.guard
+    fill = guard - (guard >> 15)
     G = []       # term dicts, monic
     lts = []     # packed leading monomials
     red = []     # reducer table entries, parallel to G
@@ -321,7 +319,7 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
                     heappush(pairs, (key(L), i, t))
         G.append(d)
         lts.append(lm)
-        red.append((lm, _smask(lm), 1, tuple((m, c) for m, c in d.items() if m != lm)))
+        red.append((lm, (lm + fill) & guard, 1, tuple((m, c) for m, c in d.items() if m != lm)))
         return False
 
     for g in live:

@@ -4,16 +4,25 @@ saturation, radical membership and equality.
 Intersections go through the classic auxiliary-variable construction:
 I cap J = (t*I + (t-1)*J) cap R, computed under lex in an extended ring
 whose variable t, prepended as the largest, is never visible to callers.
-Colons divide the generators of I cap (f) exactly by f, and saturation
-iterates colons until the chain stabilizes, reporting the stabilization
-exponent.
+
+Colon and saturation by a power of one variable x_k, with I given by
+homogeneous generators, come from one reduced Groebner basis G of I under
+a degree reverse-lex order with x_k as the smallest variable.  By Bayer's
+reverse-lex property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra
+15.7) x_k^a divides a homogeneous g exactly when it divides lt(g), so
+dividing out powers of x_k keeps G a basis: (I : x_k^e) is generated by
+g / x_k^min(e, nu(g)) and (I : x_k^infinity) by g / x_k^nu(g), where nu is
+the exponent of x_k.  Every other colon is the reference path: the
+generators of I cap (f) divided exactly by f; and every other saturation
+iterates those colons until the chain stabilizes.  Either way saturation
+reports the stabilization exponent, which PERMAHANK_MAX_ITERS caps.
 """
 
 from __future__ import annotations
 
 import os
 
-from .ring import LEX, Polynomial, _BITS, extend, lift, restrict
+from .ring import LEX, Polynomial, _BITS, _EMAX, _FMASK, _RevlexOrder, extend, lift, restrict
 from .groebner import GroebnerBasis, buchberger
 
 DEFAULT_SATURATION_CAP = 64
@@ -24,7 +33,8 @@ class Ideal:
 
     Reduced Groebner bases are computed lazily and cached per monomial
     order, so repeated membership and equality tests against the same
-    ideal cost one basis computation.
+    ideal cost one basis computation.  The reverse-lex basis behind colon
+    and saturation by a variable is cached the same way, per variable.
     """
 
     __slots__ = ("ring", "generators", "_cache")
@@ -153,14 +163,102 @@ def _exact_div(g, f):
     return Polynomial._raw(ring, out)
 
 
-def colon(I, f):
-    """The colon ideal (I : f), computed as (I cap (f)) divided by f."""
+def _check_divisor(I, f):
     if not isinstance(f, Polynomial):
         raise TypeError("colon divides by a single polynomial")
     if f.ring != I.ring:
         raise ValueError("polynomial outside the ring")
     if f.is_zero:
         raise ValueError("colon by zero is undefined")
+
+
+def _variable_power(I, f):
+    """(k, e) when f is c*x_k^e and I has homogeneous generators, else None.
+
+    Raises ValueError when a generator's degree reaches 2**15, the range
+    of the reverse-lex order.
+    """
+    if I.is_zero or len(f) != 1:
+        return None
+    ring = I.ring
+    (m,) = f._d
+    support = ring.support(m)
+    if len(support) != 1:
+        return None
+    unpack = ring.unpack
+    for g in I.generators:
+        degs = {sum(unpack(t)) for t in g._d}
+        if len(degs) != 1:
+            return None
+        if degs.pop() > _EMAX:
+            raise ValueError(
+                "degree reached 2**15, past the range of the reverse-lex order"
+            )
+    k = support[0]
+    return k, unpack(m)[k - 1]
+
+
+def _swapper(ring, k):
+    """Packed-monomial map trading the fields of x1 and x_k.
+
+    A ring automorphism and its own inverse.
+    """
+    top = (ring.nvars - 1) * _BITS
+    low = (ring.nvars - k) * _BITS
+
+    def swap(m):
+        x = ((m >> top) ^ (m >> low)) & _FMASK
+        return m ^ (x << top) ^ (x << low)
+
+    return swap
+
+
+def _revlex_basis(I, k):
+    """The reduced degree reverse-lex basis of I with x_k smallest, cached on I.
+
+    A list of (term dict, nu(lt g)) pairs.  The order puts x1 smallest, so
+    the dicts hold x_k in x1's field and x1 in x_k's (see `_swapper`).
+    """
+    b = I._cache.get(("revlex", k))
+    if b is None:
+        ring = I.ring
+        swap = _swapper(ring, k)
+        order = _RevlexOrder(ring.nvars)
+        top = (ring.nvars - 1) * _BITS
+        gens = [Polynomial._raw(ring, {swap(m): c for m, c in g._d.items()})
+                for g in I.generators]
+        b = [(g._d, g._lm_packed(order) >> top) for g in buchberger(gens, order)]
+        I._cache[("revlex", k)] = b
+    return b
+
+
+def colon(I, f):
+    """The colon ideal (I : f).
+
+    For f = c*x_k^e and homogeneous generators of I, divides x_k^min(e, nu)
+    out of the reverse-lex basis (see the module docstring); otherwise
+    computes (I cap (f)) divided by f.
+    """
+    _check_divisor(I, f)
+    vp = _variable_power(I, f)
+    if vp is None:
+        return _colon_by_elimination(I, f)
+    k, e = vp
+    ring = I.ring
+    swap = _swapper(ring, k)
+    top = (ring.nvars - 1) * _BITS
+    quotients = []
+    for d, nu in _revlex_basis(I, k):
+        a = min(e, nu)
+        if any(m >> top < a for m in d):
+            raise RuntimeError("reverse-lex division failed; this indicates an engine bug")
+        cut = a << top
+        quotients.append(Polynomial._raw(ring, {swap(m - cut): c for m, c in d.items()}))
+    return Ideal(ring, quotients)
+
+
+def _colon_by_elimination(I, f):
+    """Reference path for colon: (I cap (f)) divided exactly by f."""
     if I.is_zero:
         return Ideal(I.ring)
     if f.total_degree() == 0:
@@ -174,8 +272,21 @@ def saturate(I, f, max_iters=None):
 
     Returns (S, n) where S = (I : f^n) and n is the smallest exponent with
     (I : f^n) = (I : f^(n+1)).  The iteration cap defaults to 64 and can be
-    overridden by the PERMAHANK_MAX_ITERS environment variable; exceeding
-    it raises, since the chain must stabilize in a Noetherian ring.
+    overridden by the PERMAHANK_MAX_ITERS environment variable; n >= cap
+    raises RuntimeError, since the chain must stabilize in a Noetherian
+    ring and a cap hit means it was not seen to.
+
+    For f = c*x_k^e and homogeneous generators of I, n comes from the
+    reduced reverse-lex basis G with x_k smallest: with j = max nu(lt g),
+    n = ceil(j / e) and S = (I : x_k^j), generated by the g / x_k^nu(g).
+    That n is exact.  Bayer's property gives in(I : x_k^i) = (in(I) : x_k^i)
+    for every i, so the chain in x_k is stable from i on exactly when the
+    monomial colon is.  The leading terms of a reduced basis are the
+    minimal generators of in(I); a minimal generator u with nu(u) > i
+    gives u / x_k^(i+1), which lies in (in(I) : x_k^(i+1)) but not in
+    (in(I) : x_k^i), since u / x_k is not in in(I).  So the x_k-chain first
+    stabilizes at i = j, and the chain in f = c*x_k^e at the first n with
+    e*n >= j.  Any other input iterates colons by elimination.
     """
     if max_iters is None:
         raw = os.environ.get("PERMAHANK_MAX_ITERS", DEFAULT_SATURATION_CAP)
@@ -189,15 +300,31 @@ def saturate(I, f, max_iters=None):
             )
     elif max_iters < 1:
         raise ValueError("iteration cap must be positive")
+    _check_divisor(I, f)
+    vp = _variable_power(I, f)
+    if vp is None:
+        return _saturate_by_colons(I, f, max_iters)
+    k, e = vp
+    j = max(nu for _, nu in _revlex_basis(I, k))
+    n = -(-j // e)
+    if n >= max_iters:
+        raise RuntimeError(f"saturation did not stabilize within {max_iters} steps")
+    if n == 0:
+        return I, 0
+    return colon(I, I.ring.var(k) ** j), n
+
+
+def _saturate_by_colons(I, f, cap):
+    """Reference path for saturate: colons by elimination until stable."""
     prev = I
     n = 0
-    for _ in range(max_iters):
-        nxt = colon(prev, f)
+    for _ in range(cap):
+        nxt = _colon_by_elimination(prev, f)
         if equal(nxt, prev):
             return prev, n
         prev = nxt
         n += 1
-    raise RuntimeError(f"saturation did not stabilize within {max_iters} steps")
+    raise RuntimeError(f"saturation did not stabilize within {cap} steps")
 
 
 def radical_member(f, I):

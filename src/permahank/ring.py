@@ -9,7 +9,8 @@ monomial is a single integer: 16 bits per variable, x1 in the most
 significant field, one guard bit per field.  Plain integer comparison then
 realizes lex with x1 > x2 > ..., and divisibility tests run borrow-free.
 Exponents must stay below 2**15; every computation in this package stays
-orders of magnitude under that.
+orders of magnitude under that, and a product or power that would pass it
+raises ValueError instead of carrying into the next variable.
 """
 
 from __future__ import annotations
@@ -88,6 +89,41 @@ class MonomialOrder:
 
 LEX = MonomialOrder("lex")
 DEGLEX = MonomialOrder("deglex")
+
+
+@dataclass(frozen=True)
+class _RevlexOrder:
+    """Degree reverse-lex with xN > ... > x2 > x1: x1 is the smallest variable.
+
+    Internal to colon and saturation by a variable (see `ideal_ops`).
+    Multiplying a packed monomial by ONES (a 1 in every field) packs the
+    prefix sums S_j = e_1 + ... + e_j into the fields above the N-th;
+    among monomials of one degree a smaller S_1, then S_2, ..., is larger.
+    The key is exact while degrees stay below 2**16 (no field of the
+    product carries), so it raises once a degree reaches 2**15 instead of
+    mis-ordering.  With generators below 2**15 (checked by the caller,
+    since the key's degree wraps at 2**16 - 1), Buchberger's pairs of
+    elements below 2**15 have lcms below 2**16, which the key sees and
+    rejects before any polynomial of that degree is formed.
+    """
+
+    nvars: int
+    kind = "degrevlex"
+    is_lexlike = False
+
+    def key(self):
+        ones = sum(1 << (i * _BITS) for i in range(self.nvars))
+        shift = self.nvars * _BITS
+
+        def key(m):
+            d = m % _DEGMOD
+            if d > _EMAX:
+                raise ValueError(
+                    "degree reached 2**15, past the range of the reverse-lex order"
+                )
+            return d, -((m * ones) >> shift)
+
+        return key
 
 
 class Ring:
@@ -390,12 +426,17 @@ class Polynomial:
         d = {}
         get = d.get
         p = self.ring.char
+        seen = 0
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = m1 + m2
+                seen |= m
                 v = get(m)
                 v = c1 * c2 if v is None else v + c1 * c2
                 d[m] = v % p if p else v
+        if seen & self.ring.guard:
+            # two fields below 2**15 sum below 2**16: the guard bit is the carry
+            raise ValueError(f"exponent overflow: a product exponent exceeds {_EMAX}")
         return Polynomial._raw(self.ring, {m: c for m, c in d.items() if c})
 
     __rmul__ = __mul__

@@ -91,6 +91,18 @@ def test_verify_budget(capsys):
     assert rc == 0 and "assoc.maximal" in out
 
 
+def test_verify_samples_below_one_rejected(capsys):
+    for value in ("0", "-5"):
+        rc, out, err = run(
+            capsys, "verify", "--m", "2", "--n", "3", "--check", "primary", "--samples", value
+        )
+        assert rc == 2 and out == "" and "--samples" in err
+    rc, _, _ = run(
+        capsys, "verify", "--m", "2", "--n", "3", "--check", "primary", "--samples", "1"
+    )
+    assert rc == 0
+
+
 def test_verify_text_table(capsys):
     rc, out, _ = run(capsys, "verify", "--grid", "2x3", "--check", "decomp")
     assert rc == 0

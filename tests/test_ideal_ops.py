@@ -3,10 +3,13 @@
 import pytest
 
 from permahank import (
+    Case,
     HankelMatrix,
     Ideal,
     Ring,
     colon,
+    decomposition_summary,
+    default_grid,
     equal,
     ideal_from_dict,
     intersect,
@@ -17,7 +20,12 @@ from permahank import (
     saturate,
     why_unequal,
 )
-from permahank.ideal_ops import DEFAULT_SATURATION_CAP
+from permahank import ideal_ops
+from permahank.ideal_ops import (
+    DEFAULT_SATURATION_CAP,
+    _colon_by_elimination,
+    _saturate_by_colons,
+)
 
 
 def ideal(R, *texts):
@@ -227,3 +235,66 @@ def test_json_validation():
 def test_reduced_basis_cached(P2):
     a = P2.reduced_basis()
     assert P2.reduced_basis() is a
+
+
+# -- reverse-lex fast path against the elimination reference -------------------
+
+
+def lex_strs(I):
+    return tuple(str(p) for p in I.reduced_basis().elements)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_saturation_fast_path_matches_reference_on_grid(char):
+    for m, n in default_grid():
+        case = Case(m, n, char)
+        s = decomposition_summary(case)
+        f, g = case.x(case.r + 1), case.x(1)
+        for tag, I, v in (("q1", case.p2, f), ("q2", case.p2 + f * f, g)):
+            ref, n_ref = _saturate_by_colons(I, v, DEFAULT_SATURATION_CAP)
+            assert (lex_strs(s[tag]), s[f"{tag}_stab"]) == (lex_strs(ref), n_ref), (m, n, tag)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_colon_fast_path_matches_reference(char):
+    for m, n in ((3, 4), (4, 5), (5, 5)):
+        P = Ideal(Ring(m + n - 1, char), permanent_generators(HankelMatrix(m, n, char)))
+        for k in range(1, m + n):
+            for e in (1, 2):
+                f = P.ring.var(k) ** e
+                assert lex_strs(colon(P, f)) == lex_strs(_colon_by_elimination(P, f)), (m, n, k, e)
+                if m == 3:
+                    S, s = saturate(P, f)
+                    ref, s_ref = _saturate_by_colons(P, f, DEFAULT_SATURATION_CAP)
+                    assert (lex_strs(S), s) == (lex_strs(ref), s_ref), (m, n, k, e)
+
+
+def test_fast_path_only_for_homogeneous_ideal_and_variable_power(P2, R, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reverse-lex path taken")
+
+    monkeypatch.setattr(ideal_ops, "_revlex_basis", refuse)
+    inhom = ideal(R, "x1^2 + x2", "x1*x4")
+    assert strs(colon(inhom, R.var(4))) == ["x1", "x2"]
+    assert saturate(inhom, R.var(1))[1] == 1
+    colon(P2, 1 + R.var(1))
+    colon(P2, R.var(1) * R.var(2))
+    saturate(P2, R.var(2) + R.var(3))
+    monkeypatch.undo()
+    monkeypatch.setattr(ideal_ops, "intersect", refuse)
+    colon(P2, R.var(4) ** 2)
+    colon(P2, 3 * R.var(2))
+    saturate(P2, R.var(1))
+
+
+def test_fast_path_degree_guard_at_2_pow_15():
+    R2 = Ring(2)
+    ok = ideal(R2, "x1^16383*x2^16383", "x1^16382*x2^16384")  # lcm degree 32767
+    for k in (1, 2):
+        v = R2.var(k)
+        assert strs(colon(ok, v)) == strs(_colon_by_elimination(ok, v))
+    over = ideal(R2, "x1^16384*x2^16383", "x1^16383*x2^16384")  # lcm degree 32768
+    with pytest.raises(ValueError, match="2\\*\\*15"):
+        colon(over, R2.var(2))
+    with pytest.raises(ValueError, match="2\\*\\*15"):
+        saturate(ideal(R2, "x1^16384*x2^16384"), R2.var(1))

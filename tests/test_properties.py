@@ -24,6 +24,7 @@ from permahank import (
     rewrite_monomial_indices,
     saturate,
 )
+from permahank.ring import _RevlexOrder
 
 settings.register_profile("suite", derandomize=True, max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -50,7 +51,7 @@ I23 = Ideal(R, permanent_generators(HankelMatrix(2, 3, ring=R)))
 # -- monomial orders -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("order", [LEX, DEGLEX])
+@pytest.mark.parametrize("order", [LEX, DEGLEX, _RevlexOrder(NV)])
 class TestOrderAxioms:
     @given(a=exps4, b=exps4)
     def test_antisymmetry(self, order, a, b):
@@ -77,6 +78,18 @@ class TestOrderAxioms:
 def test_deglex_ranks_degree_first(a, b):
     if sum(a) != sum(b):
         assert (R.compare(a, b, DEGLEX) > 0) == (sum(a) > sum(b))
+
+
+@given(a=exps4, b=exps4)
+def test_revlex_matches_its_definition(a, b):
+    # degree first; on a tie the first differing exponent from x1 up
+    # decides, and the smaller exponent wins (x1 is the smallest variable)
+    got = R.compare(a, b, _RevlexOrder(NV))
+    if sum(a) != sum(b):
+        assert got == (1 if sum(a) > sum(b) else -1)
+    else:
+        diff = [y - x for x, y in zip(a, b) if x != y]
+        assert got == (0 if not diff else (1 if diff[0] > 0 else -1))
 
 
 @given(a=exps4, b=exps4)

@@ -117,6 +117,40 @@ def test_deglex_order(R):
     assert R.compare((1, 1, 0, 0, 0), (0, 0, 0, 1, 1), DEGLEX) == 1
 
 
+def test_revlex_order(R):
+    # degree first, then the smaller x1, x2, ... exponent wins: x1 is smallest
+    from permahank.ring import _RevlexOrder
+
+    rev = _RevlexOrder(5)
+    assert R.compare((0, 0, 0, 0, 2), (1, 0, 0, 0, 0), rev) == 1
+    assert R.compare((0, 1, 0, 0, 1), (1, 0, 0, 0, 1), rev) == 1
+    assert R.compare((0, 0, 2, 0, 0), (0, 1, 0, 0, 1), rev) == 1
+    assert R.compare((1, 0, 0, 1, 0), (1, 0, 1, 0, 0), rev) == 1
+    assert R.compare((1, 2, 3, 0, 0), (1, 2, 3, 0, 0), rev) == 0
+
+
+def test_revlex_degree_guard_at_2_pow_15(R):
+    from permahank.ring import _RevlexOrder
+
+    key = _RevlexOrder(5).key()
+    key(R.pack((16383, 0, 16384, 0, 0)))  # degree 32767 is in range
+    with pytest.raises(ValueError, match="2\\*\\*15"):
+        key(R.pack((16384, 0, 16384, 0, 0)))
+
+
+def test_product_overflow_raises():
+    R2 = Ring(2)
+    assert str(parse("x2^16383", R2) * parse("x2^16384", R2)) == "x2^32767"
+    assert str(parse("x1^32767", R2) * parse("x2^32767", R2)) == "x1^32767*x2^32767"
+    with pytest.raises(ValueError, match="overflow"):
+        parse("x2^16384", R2) * parse("x2^16384", R2)
+    with pytest.raises(ValueError, match="overflow"):
+        parse("x2^32767", R2) ** 3
+    with pytest.raises(ValueError, match="overflow"):
+        parse("x1^32767 + x2", R2) * parse("x1 + 1", R2)  # the top field too
+    assert str(parse("x2^10922", R2) ** 3) == "x2^32766"
+
+
 def test_order_validation():
     from permahank.ring import MonomialOrder
 

@@ -6,13 +6,22 @@ by the normal strategy (smallest lcm under the active order, ties broken
 by the smaller index pair), and the reduced basis comes back sorted by
 descending leading monomial.  Output depends only on (generators, order,
 criteria flags).
+
+Buchberger reduces each generator, as it enters, against the generators
+entered before it and drops one that reduces to zero, so generators that
+share a leading term (as many Hankel permanents do) create no pairs of
+their own.  The pair update runs on the packed monomials directly, with
+the same guard-bit arithmetic as the support masks below: b divides a
+exactly when ((a | guard) - b) & guard == guard, and that difference's
+guard bits also mark the fields where a's exponent is at least b's, which
+gives the lcm as a fieldwise maximum.
 """
 
 from __future__ import annotations
 
 from heapq import heappush, heappop
 
-from .ring import LEX, Polynomial
+from .ring import _EMAX, _FMASK, LEX, Polynomial
 
 # Support masks: with fill = guard - (guard >> 15), a 0x7FFF in every field,
 # (m + fill) & guard sets a field's guard bit exactly when its exponent is
@@ -100,14 +109,20 @@ def _spoly_dict(fd, flm, finv, gd, glm, ginv, ring):
     qg = lcm - glm
     p = ring.char
     d = {}
+    seen = 0
     if finv == 1:
         for m, c in fd.items():
-            d[m + qf] = c
+            k = m + qf
+            seen |= k
+            d[k] = c
     else:
         for m, c in fd.items():
-            d[m + qf] = c * finv % p if p else c * finv
+            k = m + qf
+            seen |= k
+            d[k] = c * finv % p if p else c * finv
     for m, c in gd.items():
         k = m + qg
+        seen |= k
         s = c if ginv == 1 else (c * ginv % p if p else c * ginv)
         v = d.get(k)
         v = -s if v is None else v - s
@@ -117,6 +132,9 @@ def _spoly_dict(fd, flm, finv, gd, glm, ginv, ring):
             d[k] = v
         elif k in d:
             del d[k]
+    if seen & ring.guard:
+        # two fields below 2**15 sum below 2**16: the guard bit is the carry
+        raise ValueError(f"exponent overflow: an S-polynomial exponent exceeds {_EMAX}")
     return d
 
 
@@ -213,19 +231,21 @@ def _monic_dict(d, lm, ring):
 def _reduce_basis(dicts, lts, ring, order):
     """Minimalize and interreduce monic basis dicts; returns dicts LT-descending."""
     key = order.key()
+    g = ring.guard
     idx = sorted(range(len(dicts)), key=lambda i: key(lts[i]))
     keep = []
     kept_lts = []
     for i in idx:
-        lt = lts[i]
-        if any(ring.mono_div(lt, k) is not None for k in kept_lts):
-            continue
-        keep.append(i)
-        kept_lts.append(lt)
+        ltg = lts[i] | g
+        for k in kept_lts:
+            if (ltg - k) & g == g:
+                break
+        else:
+            keep.append(i)
+            kept_lts.append(lts[i])
     # One reducer table from the minimal basis.  An element's own leading
     # term divides none of its tail terms (all smaller), so reducing the
     # tail against the whole table equals reducing it against the others.
-    g = ring.guard
     fill = g - (g >> 15)
     tails = {i: {m: c for m, c in dicts[i].items() if m != lts[i]} for i in keep}
     red = [(lts[i], (lts[i] + fill) & g, 1, tuple(tails[i].items())) for i in keep]
@@ -243,13 +263,16 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
     Parameters
     ----------
     gens : sequence of Polynomial
-        Generators, all in one ring; zero generators are dropped.
+        Generators, all in one ring; zero generators are dropped.  Each
+        one is reduced against the generators before it on entry, and one
+        that reduces to zero is dropped too.
     order : MonomialOrder
         Monomial order, lex by default.
     reduce : bool
         With True (default) return the unique reduced basis (monic,
         interreduced, sorted by descending leading monomial).  With False
-        return the raw accumulated basis in discovery order.
+        return the raw accumulated basis in discovery order: the
+        entry-reduced generators, then the reduced S-polynomials.
     use_coprime : bool
         Skip S-pairs with coprime leading terms.
     use_chain : bool
@@ -278,42 +301,51 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
     pairs = []   # heap of (lcm key, i, j)
     alive = {}   # (i, j) -> packed lcm
 
-    def coprime(a, b):
-        return ring.mono_gcd(a, b) == 0
-
     def add_element(d):
         lm = max(d) if lexlike else max(d, key=key)
         if lm == 0:
             return True  # a nonzero constant: the whole ring
         d = _monic_dict(d, lm, ring)
         t = len(G)
+        # lcm(lts[i], lm) as a fieldwise maximum: a field's guard bit
+        # survives (lm | guard) - a exactly where lm's exponent is >= a's.
+        lmg = lm | guard
+        lcms = []
+        for a in lts:
+            keep = (((lmg - a) & guard) >> 15) * _FMASK
+            lcms.append(a ^ ((a ^ lm) & keep))
         if use_chain:
-            for (i, j), L in list(alive.items()):
-                if (
-                    ring.mono_div(L, lm) is not None
-                    and L != ring.mono_lcm(lts[i], lm)
-                    and L != ring.mono_lcm(lts[j], lm)
-                ):
-                    del alive[(i, j)]
+            dead = [
+                ij for ij, L in alive.items()
+                if ((L | guard) - lm) & guard == guard
+                and L != lcms[ij[0]]
+                and L != lcms[ij[1]]
+            ]
+            for ij in dead:
+                del alive[ij]
         by_lcm = {}
-        for i in range(t):
-            by_lcm.setdefault(ring.mono_lcm(lts[i], lm), []).append(i)
+        for i, L in enumerate(lcms):
+            by_lcm.setdefault(L, []).append(i)
+        # Coprime leading terms are exactly those whose lcm is their product.
         if use_chain:
             kept_lcms = []
             for L in sorted(by_lcm, key=key):
-                if any(ring.mono_div(L, K) is not None for K in kept_lcms):
-                    continue
-                kept_lcms.append(L)
-                grp = by_lcm[L]
-                if use_coprime and any(coprime(lts[i], lm) for i in grp):
-                    continue
-                i = grp[0]
-                alive[(i, t)] = L
-                heappush(pairs, (key(L), i, t))
+                Lg = L | guard
+                for K in kept_lcms:
+                    if (Lg - K) & guard == guard:
+                        break
+                else:
+                    kept_lcms.append(L)
+                    grp = by_lcm[L]
+                    if use_coprime and any(L == lts[i] + lm for i in grp):
+                        continue
+                    i = grp[0]
+                    alive[(i, t)] = L
+                    heappush(pairs, (key(L), i, t))
         else:
             for L in sorted(by_lcm, key=key):
                 for i in by_lcm[L]:
-                    if use_coprime and coprime(lts[i], lm):
+                    if use_coprime and L == lts[i] + lm:
                         continue
                     alive[(i, t)] = L
                     heappush(pairs, (key(L), i, t))
@@ -322,8 +354,11 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
         red.append((lm, (lm + fill) & guard, 1, tuple((m, c) for m, c in d.items() if m != lm)))
         return False
 
+    # Reduce each generator against those already entered, so duplicate
+    # leading terms and redundant generators create no pairs of their own.
     for g in live:
-        if add_element(dict(g._d)):
+        d = _nf_dict(dict(g._d), red, ring, order) if red else dict(g._d)
+        if d and add_element(d):
             return GroebnerBasis((ring.one(),), order, True, True)
 
     while pairs:

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 _BITS = 16
 _EMAX = (1 << 15) - 1
 _FMASK = (1 << _BITS) - 1
-_DEGMOD = _FMASK  # packed % (2**16 - 1) == sum of 16-bit digits == total degree
+# packed % (2**16 - 1) == sum of the 16-bit fields mod 2**16 - 1: the total
+# degree while it stays below 65535 (the order keys rely on that range)
+_DEGMOD = _FMASK
 
 
 class ParseError(ValueError):
@@ -112,6 +115,11 @@ class _RevlexOrder:
     is_lexlike = False
 
     def key(self):
+        return self._key
+
+    @cached_property
+    def _key(self):
+        # built once per order: Polynomial._lm_packed asks for it per polynomial
         ones = sum(1 << (i * _BITS) for i in range(self.nvars))
         shift = self.nvars * _BITS
 
@@ -226,7 +234,7 @@ class Ring:
 
     def deg(self, m):
         """Total degree of a packed monomial."""
-        return m % _DEGMOD
+        return sum(self.unpack(m))
 
     def mono_div(self, a, b):
         """Packed quotient a/b, or None when b does not divide a."""
@@ -335,7 +343,7 @@ class Polynomial:
         """Largest term degree, or -1 for the zero polynomial."""
         if not self._d:
             return -1
-        return max(m % _DEGMOD for m in self._d)
+        return max(map(self.ring.deg, self._d))
 
     def terms(self, order=LEX):
         """Terms as (coefficient, exponent tuple) pairs, largest monomial first."""

@@ -23,6 +23,7 @@ from permahank import (
     permanent_generators,
     s_polynomial,
 )
+from permahank.ring import _RevlexOrder
 
 
 def perms(m, n, char=0):
@@ -74,6 +75,18 @@ def test_s_polynomial_same_leading_term():
     f = parse("x1*x3 + x2^2", R)
     g = parse("x1*x3 - x4^2", R)
     assert str(s_polynomial(f, g)) == "x2^2 + x4^2"
+
+
+def test_s_polynomial_overflow_raises():
+    # the S-polynomial's term x2^40000 is past the exponent range: an error,
+    # never a term whose exponent field has carried into its guard bit
+    R = Ring(2)
+    f = parse("x1^20000 + x2^20000", R)
+    g = parse("x1*x2^20000 + 1", R)
+    with pytest.raises(ValueError, match="overflow"):
+        s_polynomial(f, g)
+    with pytest.raises(ValueError, match="overflow"):
+        buchberger([f, g])
 
 
 def test_s_polynomial_rejects_zero():
@@ -235,3 +248,77 @@ def test_groebner_basis_equality():
     assert hash(a) == hash(b)
     c = buchberger(perms(2, 3), DEGLEX)
     assert a != c
+
+
+# -- generators are reduced as they enter --------------------------------------
+
+
+def entry_order(name, nvars):
+    return {"lex": LEX, "deglex": DEGLEX}.get(name) or _RevlexOrder(nvars)
+
+
+ENTRY_CASES = [
+    (name, char) for name in ("lex", "deglex", "revlex") for char in (0, 32003)
+]
+
+
+def assert_basis_of(B, gens, order):
+    """B is a Groebner basis under order and generates the ideal of gens."""
+    ok, wit = is_groebner(B.elements, order)
+    assert ok, wit
+    for g in gens:
+        assert B.contains(g)
+    other = buchberger(gens, DEGLEX if order == LEX else LEX)
+    for b in B.elements:
+        assert other.contains(b)
+
+
+@pytest.mark.parametrize("name,char", ENTRY_CASES)
+def test_entry_reduction_duplicate_leading_terms(name, char):
+    gens = perms(3, 4, char)  # 12 permanents, at most 10 distinct leading terms
+    order = entry_order(name, gens[0].ring.nvars)
+    raw = buchberger(gens, order, reduce=False)
+    lts = [f._lm_packed(order) for f in raw.elements]
+    assert len(set(lts)) == len(lts)
+    B = buchberger(gens, order)
+    assert_basis_of(B, gens, order)
+    for shuffled in (gens[::-1], gens[1::2] + gens[::2]):
+        assert buchberger(shuffled, order).elements == B.elements
+    for coprime in (True, False):
+        for chain in (True, False):
+            got = buchberger(gens, order, use_coprime=coprime, use_chain=chain)
+            assert got.elements == B.elements
+
+
+@pytest.mark.parametrize("name,char", ENTRY_CASES)
+def test_entry_reduction_drops_redundant_generators(name, char):
+    f, g = perms(2, 3, char)[:2]
+    R = f.ring
+    order = entry_order(name, R.nvars)
+    gens = [f, g, 3 * f, f + R.var(4) * g]
+    raw = buchberger(gens, order, reduce=False)
+    assert raw.elements == buchberger([f, g], order, reduce=False).elements
+    B = buchberger(gens, order)
+    assert_basis_of(B, gens, order)
+    assert buchberger(gens[::-1], order).elements == B.elements
+
+
+@pytest.mark.parametrize("name,char", ENTRY_CASES)
+def test_entry_reduction_to_a_constant_is_the_unit_ideal(name, char):
+    f, g = perms(2, 3, char)[:2]
+    R = f.ring
+    order = entry_order(name, R.nvars)
+    for gens in ([f, g, f + 2], [f + 2, g, f]):
+        assert buchberger(gens, order).elements == (R.one(),)
+        assert buchberger(gens, order, reduce=False).elements == (R.one(),)
+
+
+@pytest.mark.parametrize("name,char", ENTRY_CASES)
+def test_reduced_basis_enters_unchanged(name, char):
+    # intersect and radical_member pass reduced bases back into buchberger
+    gens = perms(3, 4, char)
+    order = entry_order(name, gens[0].ring.nvars)
+    B = buchberger(gens, order)
+    assert buchberger(B.elements, order, reduce=False).elements == B.elements
+    assert buchberger(B.elements, order) == B
+    assert buchberger(B.elements[::-1], order) == B

@@ -1,0 +1,70 @@
+"""Cross-check reduced Groebner bases against sympy, an independent engine.
+
+sympy is an optional test dependency: the module is skipped when it is not
+installed, and nothing in permahank imports it.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from permahank import DEGLEX, LEX, HankelMatrix, Ring, buchberger, permanent_generators  # noqa: E402
+
+# sympy's names for the same orders: x1 largest, grlex compares degree first
+SYMPY_ORDER = {LEX: "lex", DEGLEX: "grlex"}
+PRIME = 32003
+
+
+def sympy_basis(gens, order):
+    """The reduced basis sympy computes, as a set of permahank polynomials."""
+    ring = gens[0].ring
+    xs = sympy.symbols(ring.names)
+    domain = sympy.GF(ring.char) if ring.char else sympy.QQ
+    polys = [
+        sympy.Poly.from_dict(
+            {ring.unpack(m): int(c) if ring.char else sympy.Rational(c.numerator, c.denominator)
+             for m, c in g._d.items()},
+            *xs,
+            domain=domain,
+        )
+        for g in gens
+    ]
+    G = sympy.groebner(polys, *xs, order=SYMPY_ORDER[order], domain=domain)
+    out = set()
+    for p in G.polys:
+        # GF(p) elements convert through int; rationals through their text
+        out.add(ring.poly([(int(c) if ring.char else Fraction(str(c)), e) for e, c in p.terms()]))
+    return out
+
+
+@pytest.mark.parametrize("order", [LEX, DEGLEX], ids=["lex", "deglex"])
+@pytest.mark.parametrize("char", [0, PRIME])
+@pytest.mark.parametrize("shape", [(3, 4), (3, 5), (4, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_permanental_bases_agree_with_sympy(shape, char, order):
+    gens = permanent_generators(HankelMatrix(*shape, char))
+    ours = buchberger(gens, order).elements
+    assert len(set(ours)) == len(ours)
+    assert set(ours) == sympy_basis(gens, order)
+
+
+def small_ideals(ring):
+    term = st.tuples(st.integers(-3, 3), st.tuples(*[st.integers(0, 2)] * ring.nvars))
+    poly = st.lists(term, min_size=1, max_size=3).map(ring.poly)
+    return st.lists(poly, min_size=2, max_size=4)
+
+
+R3 = Ring(3)
+R3P = Ring(3, PRIME)
+
+
+@pytest.mark.parametrize("order", [LEX, DEGLEX], ids=["lex", "deglex"])
+@pytest.mark.parametrize("ring", [R3, R3P], ids=["q", "gfp"])
+@given(data=st.data())
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_small_ideals_agree_with_sympy(ring, order, data):
+    gens = [g for g in data.draw(small_ideals(ring)) if not g.is_zero]
+    assume(gens)
+    assert set(buchberger(gens, order).elements) == sympy_basis(gens, order)

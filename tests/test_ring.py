@@ -138,6 +138,14 @@ def test_revlex_degree_guard_at_2_pow_15(R):
         key(R.pack((16384, 0, 16384, 0, 0)))
 
 
+def test_total_degree_is_exact_past_65535():
+    R3 = Ring(3)
+    f = parse("x1^32767*x2^32767*x3", R3)
+    assert f.total_degree() == 65535
+    assert R3.deg(R3.pack((32767, 32767, 1))) == 65535
+    assert parse("x1^32767*x2^32767*x3^32767 + x1", R3).total_degree() == 98301
+
+
 def test_product_overflow_raises():
     R2 = Ring(2)
     assert str(parse("x2^16383", R2) * parse("x2^16384", R2)) == "x2^32767"

@@ -57,8 +57,12 @@ def _emit_json(obj, args):
     _emit(json.dumps(obj, indent=2) + "\n", args)
 
 
-def _poly_lines(polys, order=LEX):
-    return "".join(p.format(order) + "\n" for p in polys)
+def _emit_polys(args, ring, polys, order=LEX, extra=None):
+    """A polynomial list as JSON (polys_to_dict) or one per line."""
+    if args.format == "json":
+        _emit_json(polys_to_dict(ring, polys, order, extra), args)
+    else:
+        _emit("".join(p.format(order) + "\n" for p in polys), args)
 
 
 def _shape_matrix(args):
@@ -102,33 +106,21 @@ def _parse_grid(text):
 
 def _cmd_gen(args):
     M = _shape_matrix(args)
-    gens = permanent_generators(M)
-    if args.format == "json":
-        _emit_json(polys_to_dict(M.ring, gens, extra={"m": M.m, "n": M.n}), args)
-    else:
-        _emit(_poly_lines(gens), args)
+    _emit_polys(args, M.ring, permanent_generators(M), extra={"m": M.m, "n": M.n})
     return 0
 
 
 def _cmd_gb(args):
     ring, gens = _source_ideal(args)
     order = _order_of(args.order)
-    basis = buchberger(gens, order)
-    if args.format == "json":
-        _emit_json(polys_to_dict(ring, basis.elements, order), args)
-    else:
-        _emit(_poly_lines(basis.elements, order), args)
+    _emit_polys(args, ring, buchberger(gens, order).elements, order)
     return 0
 
 
 def _cmd_closed_form(args):
     case = Case(args.m, args.n, args.char)
-    cf = closed_form_gb(case)
-    if args.format == "json":
-        extra = {"m": case.m, "n": case.n, "class": case.shape_class.value}
-        _emit_json(polys_to_dict(case.ring, cf, extra=extra), args)
-    else:
-        _emit(_poly_lines(cf), args)
+    extra = {"m": case.m, "n": case.n, "class": case.shape_class.value}
+    _emit_polys(args, case.ring, closed_form_gb(case), extra=extra)
     return 0
 
 
@@ -157,12 +149,7 @@ def _cmd_nf(args):
 def _cmd_colon(args):
     ring, gens = _source_ideal(args)
     f = parse(args.expr, ring)
-    C = colon(Ideal(ring, gens), f)
-    elems = C.reduced_basis().elements
-    if args.format == "json":
-        _emit_json(polys_to_dict(ring, elems), args)
-    else:
-        _emit(_poly_lines(elems), args)
+    _emit_polys(args, ring, colon(Ideal(ring, gens), f).reduced_basis().elements)
     return 0
 
 
@@ -174,11 +161,7 @@ def _cmd_intersect(args):
     if ring_a != ring_b:
         raise ValueError("the two ideals live in different rings")
     C = intersect(Ideal(ring_a, gens_a), Ideal(ring_a, gens_b))
-    elems = C.reduced_basis().elements
-    if args.format == "json":
-        _emit_json(polys_to_dict(ring_a, elems), args)
-    else:
-        _emit(_poly_lines(elems), args)
+    _emit_polys(args, ring_a, C.reduced_basis().elements)
     return 0
 
 

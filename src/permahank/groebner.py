@@ -15,6 +15,14 @@ the same guard-bit arithmetic as the support masks below: b divides a
 exactly when ((a | guard) - b) & guard == guard, and that difference's
 guard bits also mark the fields where a's exponent is at least b's, which
 gives the lcm as a fieldwise maximum.
+
+Every routine reads one entry per basis element, (leading monomial,
+support mask, inverse leading coefficient, tail items): `_prepare` builds
+them from polynomials, Buchberger one per new monic element.  S-polynomials
+are built from the two tails alone, shifted to the lcm and scaled by the
+inverse leading coefficients, since the leading terms cancel.
+S-polynomials and normal forms raise ValueError rather than let an
+exponent pass 2**15 - 1.
 """
 
 from __future__ import annotations
@@ -47,25 +55,24 @@ def _prepare(polys, ring, order):
         if f.is_zero:
             raise ValueError("zero polynomial cannot be used as a reducer")
         lm = f._lm_packed(order)
-        red.append(
-            (
-                lm,
-                (lm + fill) & g,
-                ring.inv(f._d[lm]),
-                tuple((m, c) for m, c in f._d.items() if m != lm),
-            )
-        )
+        tail = tuple((m, c) for m, c in f._d.items() if m != lm)
+        red.append((lm, (lm + fill) & g, ring.inv(f._d[lm]), tail))
     return red
 
 
 def _nf_dict(work, red, ring, order):
-    """Fully reduce the term dict `work` (consumed) against the reducer table."""
+    """Fully reduce the term dict `work` (consumed) against the reducer table.
+
+    Raises ValueError at the first step whose new terms pass the exponent
+    range, so a wrapped monomial is never reduced further or returned.
+    """
     p = ring.char
     g = ring.guard
     fill = g - (g >> 15)
     lexlike = order.is_lexlike
     key = None if lexlike else order.key()
     out = {}
+    seen = 0
     while work:
         m = max(work) if lexlike else max(work, key=key)
         c = work.pop(m)
@@ -81,6 +88,7 @@ def _nf_dict(work, red, ring, order):
                 f = c if inv == 1 else c * inv % p
                 for tm, tc in tail:
                     k2 = tm + q
+                    seen |= k2
                     v = work.get(k2)
                     v = (-f * tc) % p if v is None else (v - f * tc) % p
                     if v:
@@ -91,19 +99,28 @@ def _nf_dict(work, red, ring, order):
                 f = c if inv == 1 else c * inv
                 for tm, tc in tail:
                     k2 = tm + q
+                    seen |= k2
                     v = work.get(k2)
                     v = -f * tc if v is None else v - f * tc
                     if v:
                         work[k2] = v
                     else:
                         del work[k2]
+            if seen & g:
+                raise ValueError(f"exponent overflow: a normal-form exponent exceeds {_EMAX}")
             break
         else:
             out[m] = c
     return out
 
 
-def _spoly_dict(fd, flm, finv, gd, glm, ginv, ring):
+def _spoly_dict(a, b, ring):
+    """S-polynomial (L/lt f)*f/lc f - (L/lt g)*g/lc g of two entries, L the lcm.
+
+    Formed from the tails alone: the leading terms cancel.
+    """
+    flm, _, finv, ftail = a
+    glm, _, ginv, gtail = b
     lcm = ring.mono_lcm(flm, glm)
     qf = lcm - flm
     qg = lcm - glm
@@ -111,16 +128,16 @@ def _spoly_dict(fd, flm, finv, gd, glm, ginv, ring):
     d = {}
     seen = 0
     if finv == 1:
-        for m, c in fd.items():
+        for m, c in ftail:
             k = m + qf
             seen |= k
             d[k] = c
     else:
-        for m, c in fd.items():
+        for m, c in ftail:
             k = m + qf
             seen |= k
             d[k] = c * finv % p if p else c * finv
-    for m, c in gd.items():
+    for m, c in gtail:
         k = m + qg
         seen |= k
         s = c if ginv == 1 else (c * ginv % p if p else c * ginv)
@@ -143,12 +160,7 @@ def s_polynomial(f, g, order=LEX):
     ring = _common_ring((f, g))
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of the zero polynomial is undefined")
-    flm = f._lm_packed(order)
-    glm = g._lm_packed(order)
-    d = _spoly_dict(
-        f._d, flm, ring.inv(f._d[flm]), g._d, glm, ring.inv(g._d[glm]), ring
-    )
-    return Polynomial._raw(ring, d)
+    return Polynomial._raw(ring, _spoly_dict(*_prepare((f, g), ring, order), ring))
 
 
 def normal_form(f, G, order=LEX):
@@ -217,43 +229,40 @@ class GroebnerBasis:
         return self.contains(f)
 
 
-def _monic_dict(d, lm, ring):
-    c = d[lm]
-    if c == 1:
-        return d
-    inv = ring.inv(c)
-    p = ring.char
+def _scaled(items, inv, p):
+    """(monomial, coefficient) pairs with every coefficient times inv."""
     if p:
-        return {m: v * inv % p for m, v in d.items()}
-    return {m: v * inv for m, v in d.items()}
+        return [(m, v * inv % p) for m, v in items]
+    return [(m, v * inv) for m, v in items]
 
 
-def _reduce_basis(dicts, lts, ring, order):
-    """Minimalize and interreduce monic basis dicts; returns dicts LT-descending."""
+def _reduce_basis(red, ring, order):
+    """Minimalize and interreduce reducer entries; monic term dicts, LT-descending.
+
+    Each kept tail is reduced against the kept entries themselves: its own
+    leading term divides none of its (smaller) terms.  Normal forms are
+    linear, so the inverse leading coefficient scales the result after.
+    """
     key = order.key()
     g = ring.guard
-    idx = sorted(range(len(dicts)), key=lambda i: key(lts[i]))
-    keep = []
+    p = ring.char
+    one = ring.coeff(1)
+    kept = []
     kept_lts = []
-    for i in idx:
-        ltg = lts[i] | g
+    for e in sorted(red, key=lambda e: key(e[0])):
+        ltg = e[0] | g
         for k in kept_lts:
             if (ltg - k) & g == g:
                 break
         else:
-            keep.append(i)
-            kept_lts.append(lts[i])
-    # One reducer table from the minimal basis.  An element's own leading
-    # term divides none of its tail terms (all smaller), so reducing the
-    # tail against the whole table equals reducing it against the others.
-    fill = g - (g >> 15)
-    tails = {i: {m: c for m, c in dicts[i].items() if m != lts[i]} for i in keep}
-    red = [(lts[i], (lts[i] + fill) & g, 1, tuple(tails[i].items())) for i in keep]
+            kept.append(e)
+            kept_lts.append(e[0])
     out = []
-    for i in sorted(keep, key=lambda i: key(lts[i]), reverse=True):
-        r = {lts[i]: dicts[i][lts[i]]}
-        r.update(_nf_dict(tails[i], red, ring, order))
-        out.append(r)
+    for lt, _, inv, tail in reversed(kept):
+        r = _nf_dict(dict(tail), kept, ring, order)
+        if inv != 1:
+            r = dict(_scaled(r.items(), inv, p))
+        out.append({lt: one, **r})
     return out
 
 
@@ -295,9 +304,8 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
     lexlike = order.is_lexlike
     guard = ring.guard
     fill = guard - (guard >> 15)
-    G = []       # term dicts, monic
-    lts = []     # packed leading monomials
-    red = []     # reducer table entries, parallel to G
+    lts = []     # packed leading monomials, for the lcm loop
+    red = []     # reducer entries of the monic basis elements, parallel to lts
     pairs = []   # heap of (lcm key, i, j)
     alive = {}   # (i, j) -> packed lcm
 
@@ -305,8 +313,9 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
         lm = max(d) if lexlike else max(d, key=key)
         if lm == 0:
             return True  # a nonzero constant: the whole ring
-        d = _monic_dict(d, lm, ring)
-        t = len(G)
+        c = d.pop(lm)
+        tail = tuple(d.items() if c == 1 else _scaled(d.items(), ring.inv(c), ring.char))
+        t = len(lts)
         # lcm(lts[i], lm) as a fieldwise maximum: a field's guard bit
         # survives (lm | guard) - a exactly where lm's exponent is >= a's.
         lmg = lm | guard
@@ -349,9 +358,8 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
                         continue
                     alive[(i, t)] = L
                     heappush(pairs, (key(L), i, t))
-        G.append(d)
         lts.append(lm)
-        red.append((lm, (lm + fill) & guard, 1, tuple((m, c) for m, c in d.items() if m != lm)))
+        red.append((lm, (lm + fill) & guard, 1, tail))
         return False
 
     # Reduce each generator against those already entered, so duplicate
@@ -366,7 +374,7 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
         if (i, j) not in alive:
             continue
         del alive[(i, j)]
-        s = _spoly_dict(G[i], lts[i], 1, G[j], lts[j], 1, ring)
+        s = _spoly_dict(red[i], red[j], ring)
         if not s:
             continue
         r = _nf_dict(s, red, ring, order)
@@ -375,9 +383,10 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
                 return GroebnerBasis((ring.one(),), order, True, True)
 
     if not reduce:
-        elems = [Polynomial._raw(ring, dict(d)) for d in G]
+        one = ring.coeff(1)
+        elems = [Polynomial._raw(ring, {lt: one, **dict(tail)}) for lt, _, _, tail in red]
         return GroebnerBasis(tuple(elems), order, False, False)
-    final = _reduce_basis(G, lts, ring, order)
+    final = _reduce_basis(red, ring, order)
     elems = [Polynomial._raw(ring, d) for d in final]
     return GroebnerBasis(tuple(elems), order, True, True)
 
@@ -393,15 +402,10 @@ def inter_reduce(polys, order=LEX):
     if not polys:
         return ()
     ring = _common_ring(polys)
-    dicts = []
-    lts = []
-    for f in polys:
-        if f.is_zero:
-            raise ValueError("cannot interreduce the zero polynomial")
-        lm = f._lm_packed(order)
-        dicts.append(_monic_dict(dict(f._d), lm, ring))
-        lts.append(lm)
-    return tuple(Polynomial._raw(ring, d) for d in _reduce_basis(dicts, lts, ring, order))
+    if any(f.is_zero for f in polys):
+        raise ValueError("cannot interreduce the zero polynomial")
+    red = _prepare(polys, ring, order)
+    return tuple(Polynomial._raw(ring, d) for d in _reduce_basis(red, ring, order))
 
 
 def is_groebner(G, order=LEX):
@@ -418,12 +422,10 @@ def is_groebner(G, order=LEX):
         raise ValueError("need at least one polynomial")
     ring = _common_ring(G)
     red = _prepare(G, ring, order)
-    lms = [f._lm_packed(order) for f in G]
-    invs = [ring.inv(f._d[lm]) for f, lm in zip(G, lms)]
     n = len(G)
     for i in range(n):
         for j in range(i + 1, n):
-            s = _spoly_dict(G[i]._d, lms[i], invs[i], G[j]._d, lms[j], invs[j], ring)
+            s = _spoly_dict(red[i], red[j], ring)
             if not s:
                 continue
             r = _nf_dict(s, red, ring, order)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 
 from .ring import LEX, Polynomial, _BITS, _EMAX, _FMASK, _RevlexOrder, extend, lift, restrict
-from .groebner import GroebnerBasis, buchberger
+from .groebner import GroebnerBasis, _prepare, buchberger
 
 DEFAULT_SATURATION_CAP = 64
 
@@ -136,9 +136,7 @@ def intersect(I, J):
 def _exact_div(g, f):
     """Quotient g/f when f divides g exactly; an engine bug otherwise."""
     ring = g.ring
-    flm = f._lm_packed(LEX)
-    finv = ring.inv(f._d[flm])
-    ftail = tuple((m, c) for m, c in f._d.items() if m != flm)
+    flm, _, finv, ftail = _prepare((f,), ring, LEX)[0]
     p = ring.char
     work = dict(g._d)
     out = {}

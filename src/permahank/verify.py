@@ -24,6 +24,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, permutations, product as iproduct
 
 from .ring import LEX
@@ -94,26 +95,18 @@ class Case:
     def x(self, i):
         return self.ring.var(i)
 
-    @property
+    @cached_property
     def p2(self):
         """The ideal of 2x2 permanents with its canonical generator list."""
-        if "p2" not in self._cache:
-            self._cache["p2"] = Ideal(self.ring, permanent_generators(self.matrix))
-        return self._cache["p2"]
+        return Ideal(self.ring, permanent_generators(self.matrix))
 
-    @property
+    @cached_property
     def maximal_ideal(self):
-        if "max" not in self._cache:
-            self._cache["max"] = Ideal(
-                self.ring, [self.x(k) for k in range(1, self.nvars + 1)]
-            )
-        return self._cache["max"]
+        return Ideal(self.ring, [self.x(k) for k in range(1, self.nvars + 1)])
 
-    @property
+    @cached_property
     def q1q2(self):
-        if "q1q2" not in self._cache:
-            self._cache["q1q2"] = intersect(q1(self), q2(self))
-        return self._cache["q1q2"]
+        return intersect(q1(self), q2(self))
 
 
 def closed_form_gb(case):
@@ -302,6 +295,13 @@ def _report(claim, case, t0, failures, detail=""):
 # -- claim checks --------------------------------------------------------------
 
 
+def _set_mismatch(kind, got, want):
+    """Failure record listing the polynomials of got not in want and back."""
+    got = {str(p) for p in got}
+    want = {str(p) for p in want}
+    return {"kind": kind, "extra": sorted(got - want), "missing": sorted(want - got)}
+
+
 def verify_gb(case):
     """Check the closed-form basis claim for the case's shape.
 
@@ -340,29 +340,13 @@ def verify_gb(case):
                 break
         interreduced = inter_reduce(cf)
         if tuple(interreduced) != reduced.elements:
-            got = {str(p) for p in interreduced}
-            want = {str(p) for p in reduced.elements}
-            failures.append(
-                {
-                    "kind": "interreduction_mismatch",
-                    "extra": sorted(got - want),
-                    "missing": sorted(want - got),
-                }
-            )
+            failures.append(_set_mismatch("interreduction_mismatch", interreduced, reduced))
     literal = frozenset(cf) == frozenset(reduced.elements)
     strict = case.shape_class is ShapeClass.THREE_THREE or (
         case.shape_class is ShapeClass.TWO_BY_N and case.n == 3
     )
     if strict and not literal:
-        got = {str(p) for p in cf}
-        want = {str(p) for p in reduced.elements}
-        failures.append(
-            {
-                "kind": "literal_set_mismatch",
-                "extra": sorted(got - want),
-                "missing": sorted(want - got),
-            }
-        )
+        failures.append(_set_mismatch("literal_set_mismatch", cf, reduced))
     detail = (
         f"closed_form={len(cf)} reduced={len(reduced)} "
         f"literal_reduced={'yes' if literal else 'no'}"

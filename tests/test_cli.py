@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, JSON plumbing, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -320,20 +322,24 @@ def test_json_deterministic_modulo_millis(capsys):
     assert a == b
 
 
-def test_console_script_entry_point():
-    out = subprocess.run(
-        [sys.executable, "-m", "permahank.cli", "gen", "--m", "2", "--n", "3"],
+def run_module(*argv):
+    """`python -m permahank.cli` in a subprocess that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "permahank.cli", *argv],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_console_script_entry_point():
+    out = run_module("gen", "--m", "2", "--n", "3")
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "x1*x3 + x2^2"
 
 
 def test_usage_error_from_argparse():
-    out = subprocess.run(
-        [sys.executable, "-m", "permahank.cli", "frobnicate"],
-        capture_output=True,
-        text=True,
-    )
+    out = run_module("frobnicate")
     assert out.returncode == 2

@@ -5,6 +5,7 @@ by hand against the closed forms; they are frozen as string literals.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +88,17 @@ def test_s_polynomial_overflow_raises():
         s_polynomial(f, g)
     with pytest.raises(ValueError, match="overflow"):
         buchberger([f, g])
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_normal_form_overflow_raises(char):
+    # rewriting x1 as x2^20000 in x1*x2^20000 gives x2^40000, past the range
+    R = Ring(2, char)
+    with pytest.raises(ValueError, match="overflow"):
+        normal_form(parse("x1*x2^20000", R), [parse("x1 - x2^20000", R)])
+    # 16383 + 16384 = 2^15 - 1, the largest exponent: in range, no error
+    r = normal_form(parse("x1*x2^16383", R), [parse("x1 - x2^16384 - x2^16383", R)])
+    assert str(r) == "x2^32767 + x2^32766"
 
 
 def test_s_polynomial_rejects_zero():
@@ -322,3 +334,68 @@ def test_reduced_basis_enters_unchanged(name, char):
     assert buchberger(B.elements, order, reduce=False).elements == B.elements
     assert buchberger(B.elements, order) == B
     assert buchberger(B.elements[::-1], order) == B
+
+
+# -- non-monic input: inverse leading coefficients in the reducer entries -----
+
+
+def textbook_s_polynomial(f, g, order):
+    """(L/lt f)*f/lc f - (L/lt g)*g/lc g with Polynomial arithmetic."""
+    R = f.ring
+    cf, ef = f.leading_term(order)
+    cg, eg = g.leading_term(order)
+    L = [max(a, b) for a, b in zip(ef, eg)]
+    uf = R.monomial([l - a for l, a in zip(L, ef)], R.inv(cf))
+    ug = R.monomial([l - b for l, b in zip(L, eg)], R.inv(cg))
+    return uf * f - ug * g
+
+
+def non_monic_scales(char):
+    # leading coefficients 3 and 2/5 over Q, 3 and 7 over GF(p)
+    return (3, Fraction(2, 5)) if char == 0 else (3, 7)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("order", [LEX, DEGLEX], ids=["lex", "deglex"])
+def test_s_polynomial_of_non_monic_input(char, order):
+    R = Ring(4, char)
+    x1, x2, x3, x4 = (R.var(i) for i in range(1, 5))
+    a, b = non_monic_scales(char)
+    pairs = [
+        (a * x1**2 * x2 + x2**3 - x3, b * x1 * x3**2 + x2 * x4 + 1),
+        (a * x1 * x3 + 5 * x2**2, b * x1 * x3 - x4**2 + 2 * x2),
+        (a * x2**2 * x4 + x3, b * x1 * x3**3 + x4),
+    ]
+    for f, g in pairs:
+        assert f.leading_coefficient(order) == a
+        assert g.leading_coefficient(order) == b
+        assert s_polynomial(f, g, order) == textbook_s_polynomial(f, g, order)
+        assert s_polynomial(g, f, order) == textbook_s_polynomial(g, f, order)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("order", [LEX, DEGLEX], ids=["lex", "deglex"])
+def test_inter_reduce_of_non_monic_input(char, order):
+    gens = perms(3, 4, char)
+    R = gens[0].ring
+    B = buchberger(gens, order)
+    monic = list(B.elements) + [R.var(2) * B.elements[0]]
+    a, b = non_monic_scales(char)
+    scaled = [(a, b, -1)[i % 3] * f for i, f in enumerate(monic)]
+    got = inter_reduce(scaled, order)
+    assert got == inter_reduce(monic, order) == B.elements
+    coeff_type = Fraction if char == 0 else int
+    for f in got + buchberger(scaled, order, reduce=False).elements:
+        lc = f.leading_coefficient(order)
+        assert lc == 1 and type(lc) is coeff_type
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_is_groebner_witness_of_non_monic_input(char):
+    a, b = non_monic_scales(char)
+    G = [c * f for c, f in zip((a, b, -1, a), perms(2, 4, char))]
+    ok, wit = is_groebner(G)
+    assert not ok
+    f, g, rest = wit
+    assert not rest.is_zero
+    assert rest == normal_form(s_polynomial(f, g), G)

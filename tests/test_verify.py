@@ -309,6 +309,25 @@ def test_report_shape():
     assert isinstance(d["millis"], int)
 
 
+def test_gb_mismatch_lists_extra_and_missing(monkeypatch):
+    case = Case(3, 3)  # its closed form is literally the reduced basis
+    cf = closed_form_gb(case)
+    reduced = case.p2.reduced_basis().elements
+    extra = case.x(2) * cf[0]
+    with monkeypatch.context() as mp:
+        mp.setattr("permahank.verify.closed_form_gb", lambda c: cf + [extra])
+        rep = verify_gb(case)
+    assert rep.witness == {"kind": "literal_set_mismatch", "extra": [str(extra)], "missing": []}
+    with monkeypatch.context() as mp:
+        mp.setattr("permahank.verify.inter_reduce", lambda polys: reduced[1:])
+        rep = verify_gb(case)
+    assert rep.witness == {
+        "kind": "interreduction_mismatch",
+        "extra": [],
+        "missing": [str(reduced[0])],
+    }
+
+
 def test_report_failure_path():
     rep = _report("gb.2xn", Case(2, 3), 0.0, [{"kind": "boom"}], "d")
     assert rep.status == "fail" and not rep.passed

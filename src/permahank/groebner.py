@@ -23,13 +23,25 @@ are built from the two tails alone, shifted to the lcm and scaled by the
 inverse leading coefficients, since the leading terms cancel.
 S-polynomials and normal forms raise ValueError rather than let an
 exponent pass 2**15 - 1.
+
+Normal forms remember each monomial's first divisor per reducer table.
+The memo maps a monomial to the entry of its first divisor in the table,
+or to the length n of the prefix scanned without finding one.  It stays
+exact while the table only grows at its end: an appended reducer never
+comes before a divisor already found, and a monomial with no divisor in
+the first n entries needs only the rest scanned.  So every reduction
+picks the same reducer the full scan picks.  Buchberger shares one memo
+between its entry reductions and all its S-pair reductions,
+interreduction and `is_groebner` one over their whole table, and
+`normal_form` starts a fresh one.
 """
 
 from __future__ import annotations
 
 from heapq import heappush, heappop
+from itertools import islice
 
-from .ring import _EMAX, _FMASK, LEX, Polynomial
+from .ring import _EMAX, _FMASK, LEX, Polynomial, _degree
 
 # Support masks: with fill = guard - (guard >> 15), a 0x7FFF in every field,
 # (m + fill) & guard sets a field's guard bit exactly when its exponent is
@@ -60,8 +72,13 @@ def _prepare(polys, ring, order):
     return red
 
 
-def _nf_dict(work, red, ring, order):
+def _nf_dict(work, red, ring, order, first):
     """Fully reduce the term dict `work` (consumed) against the reducer table.
+
+    `first` is the divisor memo of the table (see the module docstring): it
+    maps a monomial to the entry of its first divisor in `red`, or to the
+    length of the prefix of `red` scanned without finding one.  Pass the
+    same dict to every call on one table, and a fresh one for a new table.
 
     Raises ValueError at the first step whose new terms pass the exponent
     range, so a wrapped monomial is never reduced further or returned.
@@ -71,46 +88,55 @@ def _nf_dict(work, red, ring, order):
     fill = g - (g >> 15)
     lexlike = order.is_lexlike
     key = None if lexlike else order.key()
+    nred = len(red)
     out = {}
     seen = 0
     while work:
         m = max(work) if lexlike else max(work, key=key)
         c = work.pop(m)
-        mm = (m + fill) & g
-        for lt, rm, inv, tail in red:
-            if rm & ~mm:
+        e = first.get(m, 0)
+        if e.__class__ is int:  # no divisor in red[:e]: scan the rest
+            if e == nred:
+                out[m] = c
                 continue
-            t = (m | g) - lt
-            if t & g != g:
-                continue
-            q = t ^ g
-            if p:
-                f = c if inv == 1 else c * inv % p
-                for tm, tc in tail:
-                    k2 = tm + q
-                    seen |= k2
-                    v = work.get(k2)
-                    v = (-f * tc) % p if v is None else (v - f * tc) % p
-                    if v:
-                        work[k2] = v
-                    else:
-                        del work[k2]
+            zm = ((m + fill) & g) ^ g  # guard bits of the fields where m is 0
+            mg = m | g
+            for e in islice(red, e, None) if e else red:
+                if e[1] & zm:
+                    continue
+                if (mg - e[0]) & g == g:
+                    break
             else:
-                f = c if inv == 1 else c * inv
-                for tm, tc in tail:
-                    k2 = tm + q
-                    seen |= k2
-                    v = work.get(k2)
-                    v = -f * tc if v is None else v - f * tc
-                    if v:
-                        work[k2] = v
-                    else:
-                        del work[k2]
-            if seen & g:
-                raise ValueError(f"exponent overflow: a normal-form exponent exceeds {_EMAX}")
-            break
+                first[m] = nred
+                out[m] = c
+                continue
+            first[m] = e
+        lt, _, inv, tail = e
+        q = m - lt
+        if p:
+            f = c if inv == 1 else c * inv % p
+            for tm, tc in tail:
+                k2 = tm + q
+                seen |= k2
+                v = work.get(k2)
+                v = (-f * tc) % p if v is None else (v - f * tc) % p
+                if v:
+                    work[k2] = v
+                else:
+                    del work[k2]
         else:
-            out[m] = c
+            f = c if inv == 1 else c * inv
+            for tm, tc in tail:
+                k2 = tm + q
+                seen |= k2
+                v = work.get(k2)
+                v = -f * tc if v is None else v - f * tc
+                if v:
+                    work[k2] = v
+                else:
+                    del work[k2]
+        if seen & g:
+            raise ValueError(f"exponent overflow: a normal-form exponent exceeds {_EMAX}")
     return out
 
 
@@ -182,7 +208,7 @@ def normal_form(f, G, order=LEX):
     if f.is_zero:
         return f
     red = _prepare(G, ring, order)
-    return Polynomial._raw(ring, _nf_dict(dict(f._d), red, ring, order))
+    return Polynomial._raw(ring, _nf_dict(dict(f._d), red, ring, order, {}))
 
 
 class GroebnerBasis:
@@ -258,11 +284,42 @@ def _reduce_basis(red, ring, order):
             kept.append(e)
             kept_lts.append(e[0])
     out = []
+    first = {}
     for lt, _, inv, tail in reversed(kept):
-        r = _nf_dict(dict(tail), kept, ring, order)
+        r = _nf_dict(dict(tail), kept, ring, order, first)
         if inv != 1:
             r = dict(_scaled(r.items(), inv, p))
         out.append({lt: one, **r})
+    return out
+
+
+def _minimal_lcms(lcms, lm, guard):
+    """The minimal lcms: those that no earlier kept lcm divides (M-criterion).
+
+    `lcms` are multiples of lm, sorted by the order.  The test runs on the
+    quotients q = L/lm: a kept quotient of degree 1 divides q when its
+    variable is in q's support, and any other can divide q only with
+    smaller degree.  Keeps exactly what testing every kept lcm keeps.
+    """
+    fill = guard - (guard >> 15)
+    mask1 = 0    # support of the kept quotients of degree 1
+    kept = []    # (degree, quotient) of the other kept quotients
+    out = []
+    for L in lcms:
+        q = L - lm
+        if (q + fill) & mask1:
+            continue
+        dq = _degree(q)
+        qg = q | guard
+        for dk, k in kept:
+            if dk < dq and (qg - k) & guard == guard:
+                break
+        else:
+            if dq == 1:
+                mask1 |= (q + fill) & guard
+            else:
+                kept.append((dq, q))
+            out.append(L)
     return out
 
 
@@ -308,6 +365,7 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
     red = []     # reducer entries of the monic basis elements, parallel to lts
     pairs = []   # heap of (lcm key, i, j)
     alive = {}   # (i, j) -> packed lcm
+    first = {}   # divisor memo of red, which only grows at its end
 
     def add_element(d):
         lm = max(d) if lexlike else max(d, key=key)
@@ -337,20 +395,13 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
             by_lcm.setdefault(L, []).append(i)
         # Coprime leading terms are exactly those whose lcm is their product.
         if use_chain:
-            kept_lcms = []
-            for L in sorted(by_lcm, key=key):
-                Lg = L | guard
-                for K in kept_lcms:
-                    if (Lg - K) & guard == guard:
-                        break
-                else:
-                    kept_lcms.append(L)
-                    grp = by_lcm[L]
-                    if use_coprime and any(L == lts[i] + lm for i in grp):
-                        continue
-                    i = grp[0]
-                    alive[(i, t)] = L
-                    heappush(pairs, (key(L), i, t))
+            for L in _minimal_lcms(sorted(by_lcm, key=key), lm, guard):
+                grp = by_lcm[L]
+                if use_coprime and any(L == lts[i] + lm for i in grp):
+                    continue
+                i = grp[0]
+                alive[(i, t)] = L
+                heappush(pairs, (key(L), i, t))
         else:
             for L in sorted(by_lcm, key=key):
                 for i in by_lcm[L]:
@@ -365,7 +416,7 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
     # Reduce each generator against those already entered, so duplicate
     # leading terms and redundant generators create no pairs of their own.
     for g in live:
-        d = _nf_dict(dict(g._d), red, ring, order) if red else dict(g._d)
+        d = _nf_dict(dict(g._d), red, ring, order, first)
         if d and add_element(d):
             return GroebnerBasis((ring.one(),), order, True, True)
 
@@ -377,7 +428,7 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
         s = _spoly_dict(red[i], red[j], ring)
         if not s:
             continue
-        r = _nf_dict(s, red, ring, order)
+        r = _nf_dict(s, red, ring, order, first)
         if r:
             if add_element(r):
                 return GroebnerBasis((ring.one(),), order, True, True)
@@ -422,13 +473,14 @@ def is_groebner(G, order=LEX):
         raise ValueError("need at least one polynomial")
     ring = _common_ring(G)
     red = _prepare(G, ring, order)
+    first = {}
     n = len(G)
     for i in range(n):
         for j in range(i + 1, n):
             s = _spoly_dict(red[i], red[j], ring)
             if not s:
                 continue
-            r = _nf_dict(s, red, ring, order)
+            r = _nf_dict(s, red, ring, order, first)
             if r:
                 return False, (G[i], G[j], Polynomial._raw(ring, r))
     return True, None

@@ -24,8 +24,30 @@ _BITS = 16
 _EMAX = (1 << 15) - 1
 _FMASK = (1 << _BITS) - 1
 # packed % (2**16 - 1) == sum of the 16-bit fields mod 2**16 - 1: the total
-# degree while it stays below 65535 (the order keys rely on that range)
+# degree while it stays below 65535 (the reverse-lex key relies on that range)
 _DEGMOD = _FMASK
+# The exact total degree: m + (m >> 16) sums each pair of adjacent fields
+# into the low half of a 32-bit word (below 2**16, so nothing carries),
+# _PAIRS keeps those halves, and as 2**32 = 1 modulo _WORDMOD, a divisor of
+# 2**32 - 1 below 2**30, the remainder is the sum of the words.  Exact for
+# every ring of at most _MAXVARS variables: the degree stays below
+# _MAXVARS * 2**15 < _WORDMOD.
+_MAXVARS = 4096
+_PAIRS = int.from_bytes(b"\xff\xff\x00\x00" * (_MAXVARS // 2), "little")
+_WORDMOD = ((1 << 32) - 1) // 5
+
+
+def _degree(m):
+    return ((m + (m >> _BITS)) & _PAIRS) % _WORDMOD
+
+
+def _deglex_key(m):
+    # _degree inlined: the key runs once per term in every deglex max
+    return ((m + (m >> _BITS)) & _PAIRS) % _WORDMOD, m
+
+
+def _lex_key(m):
+    return m
 
 
 class ParseError(ValueError):
@@ -85,9 +107,7 @@ class MonomialOrder:
 
     def key(self):
         """Sort key on packed monomials; larger key means larger monomial."""
-        if self.kind == "deglex":
-            return lambda m: (m % _DEGMOD, m)
-        return lambda m: m
+        return _deglex_key if self.kind == "deglex" else _lex_key
 
 
 LEX = MonomialOrder("lex")
@@ -140,7 +160,7 @@ class Ring:
     Parameters
     ----------
     nvars : int
-        Number of variables, at least 1.
+        Number of variables, from 1 to 4096.
     char : int, optional
         Field characteristic: 0 for Q, otherwise an odd prime.
     names : tuple of str, optional
@@ -153,6 +173,8 @@ class Ring:
     def __init__(self, nvars, char=0, names=None):
         if not isinstance(nvars, int) or nvars < 1:
             raise ValueError("a ring needs at least one variable")
+        if nvars > _MAXVARS:
+            raise ValueError(f"a ring has at most {_MAXVARS} variables")
         if char:
             if char == 2:
                 raise ValueError(
@@ -234,7 +256,7 @@ class Ring:
 
     def deg(self, m):
         """Total degree of a packed monomial."""
-        return sum(self.unpack(m))
+        return _degree(m)
 
     def mono_div(self, a, b):
         """Packed quotient a/b, or None when b does not divide a."""
@@ -370,7 +392,7 @@ class Polynomial:
     def _lm_packed(self, order=LEX):
         if not self._d:
             raise ValueError("the zero polynomial has no leading term")
-        if order.is_lexlike:
+        if order.is_lexlike or len(self._d) == 1:
             return max(self._d)
         return max(self._d, key=order.key())
 

@@ -4,10 +4,12 @@ Expected bases here were computed once with this engine and cross-checked
 by hand against the closed forms; they are frozen as string literals.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permahank import (
     DEGLEX,
@@ -24,6 +26,7 @@ from permahank import (
     permanent_generators,
     s_polynomial,
 )
+from permahank.groebner import _minimal_lcms, _nf_dict, _prepare
 from permahank.ring import _RevlexOrder
 
 
@@ -399,3 +402,134 @@ def test_is_groebner_witness_of_non_monic_input(char):
     f, g, rest = wit
     assert not rest.is_zero
     assert rest == normal_form(s_polynomial(f, g), G)
+
+
+# -- the divisor memo: agreement with the linear scan it replaced -------------
+
+
+def linear_scan_nf(work, red, ring, order):
+    """Reference normal form: scan the whole table for every term."""
+    g = ring.guard
+    p = ring.char
+    key = order.key()
+    out = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for lt, _, inv, tail in red:
+            if ((m | g) - lt) & g == g:
+                f = c * inv
+                for tm, tc in tail:
+                    k = tm + m - lt
+                    v = work.get(k, 0) - f * tc
+                    v = v % p if p else v
+                    if v:
+                        work[k] = v
+                    else:
+                        work.pop(k, None)
+                break
+        else:
+            out[m] = c
+    return out
+
+
+def memo_polys(ring, count):
+    exps = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    coeff = st.integers(-4, 4).filter(bool)
+    poly = st.lists(st.tuples(coeff, exps), min_size=1, max_size=4).map(ring.poly)
+    return st.lists(poly.filter(lambda f: not f.is_zero), min_size=count, max_size=count)
+
+
+@pytest.mark.parametrize("name", ["lex", "deglex", "revlex"])
+@pytest.mark.parametrize("ring", [Ring(3), Ring(4), Ring(3, 32003), Ring(4, 32003)],
+                         ids=["q3", "q4", "gfp3", "gfp4"])
+@given(data=st.data())
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_divisor_memo_agrees_with_the_linear_scan(ring, name, data):
+    order = entry_order(name, ring.nvars)
+    reducers = _prepare(data.draw(memo_polys(ring, 6)), ring, order)
+    targets = data.draw(memo_polys(ring, 4))
+    red = []
+    first = {}
+    # the table grows at its end between calls, as in Buchberger
+    for size in (0, 1, 3, 6):
+        red.extend(reducers[len(red):size])
+        for f in targets:
+            want = linear_scan_nf(dict(f._d), red, ring, order)
+            assert _nf_dict(dict(f._d), red, ring, order, first) == want
+            # the memo only ever names a divisor or a scanned prefix
+            for m, e in first.items():
+                assert isinstance(e, int) and e <= len(red) or e in red
+
+
+def digest(polys):
+    return hashlib.sha256("\n".join(map(str, polys)).encode()).hexdigest()[:16]
+
+
+# Recorded from the linear-scan engine, before the divisor memo and the
+# quotient form of the minimal-lcm test: per shape, field and order, the
+# length and digest of buchberger(..., reduce=False), then the digests of the
+# is_groebner witnesses with the last element and the middle element of that
+# raw basis left out (None: still a Groebner basis).
+RECORDED = {
+    ("2x5", 0, "lex"): (22, "f5e116dad29f0329", "8d27d434396ca838", "25673a24ab850cb9"),
+    ("2x5", 0, "deglex"): (20, "a5d47af7f6569e55", "8d27d434396ca838", "a9b4a5f307899e18"),
+    ("2x5", 0, "revlex"): (18, "a9caf995743be16d", "fd53d903e7989524", "b4c95ec7576c8460"),
+    ("2x5", 32003, "lex"): (22, "f5e116dad29f0329", "8d27d434396ca838", "25673a24ab850cb9"),
+    ("2x5", 32003, "deglex"): (20, "a5d47af7f6569e55", "8d27d434396ca838", "60d75715baf747ef"),
+    ("2x5", 32003, "revlex"): (18, "679d3e3c81183910", "a6cc263dcac71dea", "b4c95ec7576c8460"),
+    ("3x4", 0, "lex"): (16, "765e7bb730e718a2", "8d27d434396ca838", "23f2c2644e68fd4e"),
+    ("3x4", 0, "deglex"): (16, "4059201f7ca94433", "8d27d434396ca838", "23f2c2644e68fd4e"),
+    ("3x4", 0, "revlex"): (16, "90b43161fff74d44", "9b66113a98860280", "8590414fac5cb2b7"),
+    ("3x4", 32003, "lex"): (16, "f2be7ab3446d4a57", "8d27d434396ca838", "942e59ee9e10fb4b"),
+    ("3x4", 32003, "deglex"): (16, "5e32c6cfd1288fdd", "8d27d434396ca838", "942e59ee9e10fb4b"),
+    ("3x4", 32003, "revlex"): (16, "6feffdefbb092c9b", "d72722e204051cd0", "8590414fac5cb2b7"),
+    ("3x5", 0, "lex"): (24, "cdce981da3fcd7f7", "8d27d434396ca838", "7a46dec33dbfea8f"),
+    ("3x5", 0, "deglex"): (24, "77541112f332cdbe", "8d27d434396ca838", "7a46dec33dbfea8f"),
+    ("3x5", 0, "revlex"): (20, "f7b61a4ef604a06c", None, None),
+    ("3x5", 32003, "lex"): (24, "9c2cd0b687724f73", "8d27d434396ca838", "774a6d22536b023e"),
+    ("3x5", 32003, "deglex"): (24, "4def7cb0c01a3851", "8d27d434396ca838", "774a6d22536b023e"),
+    ("3x5", 32003, "revlex"): (20, "197376e676c131be", None, None),
+    ("4x4", 0, "lex"): (22, "6c729f5fa762f210", "8d27d434396ca838", "a2bb28867950751a"),
+    ("4x4", 0, "deglex"): (22, "281fa7e189bcb918", "8d27d434396ca838", "a2bb28867950751a"),
+    ("4x4", 0, "revlex"): (20, "8ee47d601c87c4ee", "2771bd8d0b40a686", "87a68e3ccbe72bc5"),
+    ("4x4", 32003, "lex"): (22, "6ff6024ea39eea86", "8d27d434396ca838", "cabff09659b2756f"),
+    ("4x4", 32003, "deglex"): (22, "513473174882f1dc", "8d27d434396ca838", "cabff09659b2756f"),
+    ("4x4", 32003, "revlex"): (20, "ca0ec6f7628dc7c9", "3a4fd9b04bbf7758", "31160ad3acde77cc"),
+}
+
+
+@pytest.mark.parametrize("shape,char,name", sorted(RECORDED), ids=lambda v: str(v))
+def test_raw_bases_and_witnesses_match_the_linear_scan(shape, char, name):
+    gens = perms(*map(int, shape.split("x")), char)
+    order = entry_order(name, gens[0].ring.nvars)
+    raw = buchberger(gens, order, reduce=False).elements
+    mid = len(raw) // 2
+    got = [len(raw), digest(raw)]
+    for G in (raw[:-1], raw[:mid] + raw[mid + 1:]):
+        ok, wit = is_groebner(G, order)
+        got.append(None if ok else digest(wit))
+    assert tuple(got) == RECORDED[shape, char, name]
+    assert is_groebner(raw, order) == (True, None)
+
+
+def all_pairs_minimal_lcms(lcms, guard):
+    """Reference M-criterion: test each lcm against every kept one."""
+    kept = []
+    for L in lcms:
+        if not any(((L | guard) - K) & guard == guard for K in kept):
+            kept.append(L)
+    return kept
+
+
+@pytest.mark.parametrize("name", ["lex", "deglex", "revlex"])
+@given(data=st.data())
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_minimal_lcms_agree_with_the_all_pairs_scan(name, data):
+    R = Ring(4)
+    order = entry_order(name, R.nvars)
+    exps = st.tuples(*[st.integers(0, 3)] * R.nvars)
+    lm = R.pack(data.draw(exps))
+    lts = [R.pack(e) for e in data.draw(st.lists(exps, min_size=1, max_size=12))]
+    lcms = sorted({R.mono_lcm(a, lm) for a in lts}, key=order.key())
+    assert _minimal_lcms(lcms, lm, R.guard) == all_pairs_minimal_lcms(lcms, R.guard)

@@ -1,5 +1,6 @@
 """Ring, coefficient, monomial order and parser behavior."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,33 @@ def test_total_degree_is_exact_past_65535():
     assert f.total_degree() == 65535
     assert R3.deg(R3.pack((32767, 32767, 1))) == 65535
     assert parse("x1^32767*x2^32767*x3^32767 + x1", R3).total_degree() == 98301
+
+
+def test_deglex_is_exact_past_degree_65535():
+    R3 = Ring(3)
+    assert R3.compare((32767, 32767, 1), (0, 0, 1), DEGLEX) == 1
+    assert R3.compare((32767, 32767, 2), (32767, 32767, 1), DEGLEX) == 1
+    assert R3.compare((32767, 32767, 1), (0, 32767, 32767), DEGLEX) == 1
+    assert R3.compare((0, 0, 1), (0, 0, 0), DEGLEX) == 1
+    f = parse("x3 + x1^32767*x2^32767*x3", R3)
+    assert f.leading_monomial(DEGLEX) == (32767, 32767, 1)
+
+
+def test_deglex_key_degree_matches_the_exponent_sum():
+    key = DEGLEX.key()
+    rng = random.Random(7)
+    for nvars in (1, 2, 3, 19, 4096):
+        R = Ring(nvars)
+        for _ in range(20):
+            exps = tuple(rng.choice((0, 1, 32767, rng.randrange(32768))) for _ in range(nvars))
+            assert key(R.pack(exps))[0] == sum(exps) == R.deg(R.pack(exps))
+        top = (32767,) * nvars
+        assert key(R.pack(top))[0] == 32767 * nvars
+
+
+def test_ring_size_is_bounded():
+    with pytest.raises(ValueError, match="4096"):
+        Ring(4097)
 
 
 def test_product_overflow_raises():

@@ -30,10 +30,13 @@ or to the length n of the prefix scanned without finding one.  It stays
 exact while the table only grows at its end: an appended reducer never
 comes before a divisor already found, and a monomial with no divisor in
 the first n entries needs only the rest scanned.  So every reduction
-picks the same reducer the full scan picks.  Buchberger shares one memo
-between its entry reductions and all its S-pair reductions,
-interreduction and `is_groebner` one over their whole table, and
-`normal_form` starts a fresh one.
+picks the same reducer the full scan picks.  A memo lives as long as its
+table, and whoever builds the table owns both: Buchberger for one run (its
+entry and S-pair reductions share them), interreduction and `is_groebner`
+for one call, and `reducer` for the life of the function it returns, which
+its caller keeps for a loop over one basis and then drops.  `normal_form`
+is one call of a fresh `reducer`.  Nothing is cached on a GroebnerBasis, so
+no memo outlives the caller that needed it.
 """
 
 from __future__ import annotations
@@ -189,26 +192,53 @@ def s_polynomial(f, g, order=LEX):
     return Polynomial._raw(ring, _spoly_dict(*_prepare((f, g), ring, order), ring))
 
 
-def normal_form(f, G, order=LEX):
+def _basis_and_order(G, order):
+    """(elements, order): a GroebnerBasis brings its own order, a sequence LEX."""
+    if isinstance(G, GroebnerBasis):
+        if order is None:
+            order = G.order
+        elif order != G.order:
+            raise ValueError(
+                f"order {order!r} differs from the basis's own order {G.order!r}"
+            )
+        return G.elements, order
+    return tuple(G), LEX if order is None else order
+
+
+def reducer(G, order=None):
+    """The normal form map f -> normal_form(f, G, order), for many f.
+
+    Builds the reducer table of G once and keeps one divisor memo for the
+    life of the returned function, so reducing many polynomials against
+    one basis costs one table.  The order defaults to G's own when G is a
+    GroebnerBasis (another order raises ValueError), and to lex otherwise.
+    """
+    G, order = _basis_and_order(G, order)
+    if not G:
+        raise ValueError("need at least one reducer")
+    ring = _common_ring(G)
+    red = _prepare(G, ring, order)
+    first = {}
+
+    def nf(f):
+        if f.ring != ring:
+            raise ValueError("polynomial and reducers belong to different rings")
+        if f.is_zero:
+            return f
+        return Polynomial._raw(ring, _nf_dict(dict(f._d), red, ring, order, first))
+
+    return nf
+
+
+def normal_form(f, G, order=None):
     """Normal form of f modulo the sequence G.
 
     The result has no term divisible by any leading term of G, and f minus
     the result lies in the ideal generated by G.  When G is a Groebner
-    basis for the order, a zero result is equivalent to membership.
+    basis for the order, a zero result is equivalent to membership.  The
+    order defaults as in `reducer`, which reduces many f against one G.
     """
-    if isinstance(G, GroebnerBasis):
-        G = G.elements
-    else:
-        G = tuple(G)
-    if not G:
-        raise ValueError("need at least one reducer")
-    ring = _common_ring(G)
-    if f.ring != ring:
-        raise ValueError("polynomial and reducers belong to different rings")
-    if f.is_zero:
-        return f
-    red = _prepare(G, ring, order)
-    return Polynomial._raw(ring, _nf_dict(dict(f._d), red, ring, order, {}))
+    return reducer(G, order)(f)
 
 
 class GroebnerBasis:
@@ -459,16 +489,15 @@ def inter_reduce(polys, order=LEX):
     return tuple(Polynomial._raw(ring, d) for d in _reduce_basis(red, ring, order))
 
 
-def is_groebner(G, order=LEX):
+def is_groebner(G, order=None):
     """Check the Buchberger criterion for G; returns (flag, witness).
 
     Every S-polynomial of a pair of elements is reduced against all of G.
     The witness on failure is (f, g, nonzero normal form); no criteria are
-    used to skip pairs, so coprime pairs are honestly checked too.
+    used to skip pairs, so coprime pairs are honestly checked too.  The
+    order defaults as in `reducer`.
     """
-    if isinstance(G, GroebnerBasis):
-        G = G.elements
-    G = tuple(G)
+    G, order = _basis_and_order(G, order)
     if not G:
         raise ValueError("need at least one polynomial")
     ring = _common_ring(G)

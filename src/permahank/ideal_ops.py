@@ -12,10 +12,13 @@ reverse-lex property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra
 15.7) x_k^a divides a homogeneous g exactly when it divides lt(g), so
 dividing out powers of x_k keeps G a basis: (I : x_k^e) is generated by
 g / x_k^min(e, nu(g)) and (I : x_k^infinity) by g / x_k^nu(g), where nu is
-the exponent of x_k.  Every other colon is the reference path: the
-generators of I cap (f) divided exactly by f; and every other saturation
-iterates those colons until the chain stabilizes.  Either way saturation
-reports the stabilization exponent, which PERMAHANK_MAX_ITERS caps.
+the exponent of x_k.  Colon by a monomial takes one variable at a time,
+(I : x_a^e_a x_b^e_b) = ((I : x_a^e_a) : x_b^e_b), and every step keeps the
+generators homogeneous.  Every other colon is the reference path: the
+generators of I cap (f) divided exactly by f; and every saturation by
+anything but a variable power iterates those colons until the chain
+stabilizes.  Either way saturation reports the stabilization exponent,
+which PERMAHANK_MAX_ITERS caps.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import os
 
 from .ring import LEX, Polynomial, _BITS, _EMAX, _FMASK, _RevlexOrder, extend, lift, restrict
-from .groebner import GroebnerBasis, _prepare, buchberger
+from .groebner import GroebnerBasis, _prepare, buchberger, reducer
 
 DEFAULT_SATURATION_CAP = 64
 
@@ -170,30 +173,20 @@ def _check_divisor(I, f):
         raise ValueError("colon by zero is undefined")
 
 
-def _variable_power(I, f):
-    """(k, e) when f is c*x_k^e and I has homogeneous generators, else None.
+def _monomial_exponents(I, f):
+    """[(k, e), ...] over the variables of f = c * prod x_k^e, else None.
 
-    Raises ValueError when a generator's degree reaches 2**15, the range
-    of the reverse-lex order.
+    None unless f is a single term and I has homogeneous generators.
     """
     if I.is_zero or len(f) != 1:
         return None
-    ring = I.ring
-    (m,) = f._d
-    support = ring.support(m)
-    if len(support) != 1:
-        return None
-    unpack = ring.unpack
+    unpack = I.ring.unpack
     for g in I.generators:
-        degs = {sum(unpack(t)) for t in g._d}
-        if len(degs) != 1:
+        if len({sum(unpack(t)) for t in g._d}) != 1:
             return None
-        if degs.pop() > _EMAX:
-            raise ValueError(
-                "degree reached 2**15, past the range of the reverse-lex order"
-            )
-    k = support[0]
-    return k, unpack(m)[k - 1]
+    (m,) = f._d
+    exps = unpack(m)
+    return [(k, exps[k - 1]) for k in I.ring.support(m)]
 
 
 def _swapper(ring, k):
@@ -219,6 +212,10 @@ def _revlex_basis(I, k):
     """
     b = I._cache.get(("revlex", k))
     if b is None:
+        if any(g.total_degree() > _EMAX for g in I.generators):
+            raise ValueError(
+                "degree reached 2**15, past the range of the reverse-lex order"
+            )
         ring = I.ring
         swap = _swapper(ring, k)
         order = _RevlexOrder(ring.nvars)
@@ -233,15 +230,23 @@ def _revlex_basis(I, k):
 def colon(I, f):
     """The colon ideal (I : f).
 
-    For f = c*x_k^e and homogeneous generators of I, divides x_k^min(e, nu)
-    out of the reverse-lex basis (see the module docstring); otherwise
-    computes (I cap (f)) divided by f.
+    For a monomial f = c * prod x_k^e_k and homogeneous generators of I,
+    takes (I : x_k^e_k) one variable at a time, each by dividing
+    x_k^min(e_k, nu) out of a reverse-lex basis (see the module docstring);
+    every quotient stays homogeneous.  Otherwise computes (I cap (f))
+    divided by f.
     """
     _check_divisor(I, f)
-    vp = _variable_power(I, f)
-    if vp is None:
+    powers = _monomial_exponents(I, f)
+    if powers is None:
         return _colon_by_elimination(I, f)
-    k, e = vp
+    for k, e in powers:
+        I = _colon_by_variable(I, k, e)
+    return I
+
+
+def _colon_by_variable(I, k, e):
+    """(I : x_k^e) from the reverse-lex basis of homogeneous I."""
     ring = I.ring
     swap = _swapper(ring, k)
     top = (ring.nvars - 1) * _BITS
@@ -299,10 +304,10 @@ def saturate(I, f, max_iters=None):
     elif max_iters < 1:
         raise ValueError("iteration cap must be positive")
     _check_divisor(I, f)
-    vp = _variable_power(I, f)
-    if vp is None:
+    powers = _monomial_exponents(I, f)
+    if powers is None or len(powers) != 1:
         return _saturate_by_colons(I, f, max_iters)
-    k, e = vp
+    ((k, e),) = powers
     j = max(nu for _, nu in _revlex_basis(I, k))
     n = -(-j // e)
     if n >= max_iters:
@@ -340,10 +345,10 @@ def radical_member(f, I):
     if I.is_zero:
         return False
     if len(f) <= 2 and f.total_degree() <= 4:
-        basis = I.reduced_basis()
+        nf = reducer(I.reduced_basis())
         g = f
         for _ in range(8):
-            if basis.contains(g):
+            if nf(g).is_zero:
                 return True
             g = g * f
     ext = extend(I.ring, ("y",))
@@ -365,12 +370,17 @@ def why_unequal(I, J):
 
     Useful as a machine-checkable witness after a failed equality test.
     """
-    for g in I.generators:
-        if g not in J:
-            return g
-    for g in J.generators:
-        if g not in I:
-            return g
+    if I.ring != J.ring:
+        raise ValueError("ideals belong to different rings")
+    for A, B in ((I, J), (J, I)):
+        if not A.generators:
+            continue
+        if B.is_zero:
+            return A.generators[0]
+        nf = reducer(B.reduced_basis())
+        for g in A.generators:
+            if not nf(g).is_zero:
+                return g
     return None
 
 

@@ -24,6 +24,7 @@ from permahank import (
     normal_form,
     parse,
     permanent_generators,
+    reducer,
     s_polynomial,
 )
 from permahank.groebner import _minimal_lcms, _nf_dict, _prepare
@@ -129,6 +130,28 @@ def test_normal_form_rejects_bad_reducers():
         normal_form(R.var(1), [])
     with pytest.raises(ValueError):
         normal_form(R.var(1), [R.zero()])
+
+
+def test_normal_form_defaults_to_the_basis_order():
+    R = Ring(3)
+    x1, x2, x3 = (R.var(k) for k in (1, 2, 3))
+    B = buchberger([x1**2 - x2, x1 * x3 - x2**3], DEGLEX)
+    f = (x1**2 - x2) * (x3 + x1) + (x1 * x3 - x2**3) * x2
+    assert B.contains(f)
+    assert normal_form(f, B).is_zero
+    assert reducer(B)(f).is_zero
+    assert is_groebner(B) == (True, None)
+    # a sequence has no order of its own: lex, as before
+    assert normal_form(f, B.elements) == normal_form(f, B.elements, LEX)
+    for call in (
+        lambda: normal_form(f, B, LEX),
+        lambda: reducer(B, LEX),
+        lambda: is_groebner(B, LEX),
+    ):
+        with pytest.raises(ValueError, match="order"):
+            call()
+    # naming the basis's own order is fine
+    assert normal_form(f, B, DEGLEX).is_zero
 
 
 def test_normal_form_is_irreducible():
@@ -533,3 +556,36 @@ def test_minimal_lcms_agree_with_the_all_pairs_scan(name, data):
     lts = [R.pack(e) for e in data.draw(st.lists(exps, min_size=1, max_size=12))]
     lcms = sorted({R.mono_lcm(a, lm) for a in lts}, key=order.key())
     assert _minimal_lcms(lcms, lm, R.guard) == all_pairs_minimal_lcms(lcms, R.guard)
+
+
+# -- one reducer for many polynomials: agreement with fresh normal forms -------
+
+
+@pytest.mark.parametrize("name", ["lex", "deglex", "revlex"])
+@pytest.mark.parametrize("ring", [Ring(3), Ring(3, 32003)], ids=["q3", "gfp3"])
+@given(data=st.data())
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_reducer_agrees_with_normal_form(ring, name, data):
+    order = entry_order(name, ring.nvars)
+    gens = data.draw(memo_polys(ring, 3))
+    # exponents up to 2 in three variables: the targets share monomials,
+    # so later calls read divisors the memo kept from earlier ones
+    targets = data.draw(memo_polys(ring, 8))
+    targets += [f * ring.var(1) for f in targets[:3]]
+    # a GroebnerBasis wrapper brings its own order; the list takes it explicitly
+    for G, o in ((gens, order), (GroebnerBasis(gens, order), None)):
+        nf = reducer(G, o)
+        table = _prepare(tuple(G), ring, order)
+        for f in targets:
+            got = nf(f)
+            assert got == normal_form(f, G, o)
+            assert got._d == linear_scan_nf(dict(f._d), table, ring, order)
+
+
+def test_reducer_rejects_another_ring():
+    nf = reducer(perms(2, 3))
+    with pytest.raises(ValueError, match="different rings"):
+        nf(Ring(4, 5).var(1))
+    with pytest.raises(ValueError, match="different rings"):
+        nf(Ring(5).var(1))
+    assert nf(Ring(4).var(1)) == Ring(4).var(1)

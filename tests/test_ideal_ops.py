@@ -7,6 +7,7 @@ from permahank import (
     HankelMatrix,
     Ideal,
     Ring,
+    alphas,
     colon,
     decomposition_summary,
     default_grid,
@@ -209,6 +210,13 @@ def test_equal_and_witness(P2, R):
     w = why_unequal(P2, S)
     assert w is not None
     assert (w in P2) != (w in S)
+    assert why_unequal(S, P2) == w
+    zero = Ideal(R)
+    assert why_unequal(P2, zero) == P2.generators[0]
+    assert why_unequal(zero, P2) == P2.generators[0]
+    assert why_unequal(zero, zero) is None
+    with pytest.raises(ValueError):
+        why_unequal(P2, Ideal(Ring(5), [Ring(5).var(1)]))
 
 
 def test_json_round_trip(P2, R):
@@ -278,13 +286,38 @@ def test_fast_path_only_for_homogeneous_ideal_and_variable_power(P2, R, monkeypa
     assert strs(colon(inhom, R.var(4))) == ["x1", "x2"]
     assert saturate(inhom, R.var(1))[1] == 1
     colon(P2, 1 + R.var(1))
-    colon(P2, R.var(1) * R.var(2))
     saturate(P2, R.var(2) + R.var(3))
+    # saturation by a monomial of two variables stays on the reference path
+    assert saturate(P2, R.var(1) * R.var(2))[1] == 4
     monkeypatch.undo()
     monkeypatch.setattr(ideal_ops, "intersect", refuse)
     colon(P2, R.var(4) ** 2)
     colon(P2, 3 * R.var(2))
+    colon(P2, R.var(1) * R.var(2))
     saturate(P2, R.var(1))
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_colon_by_monomial_chains_the_variable_fast_path(char, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination path taken")
+
+    for m, n in ((3, 3), (3, 4), (4, 4), (2, 6)):
+        case = Case(m, n, char)
+        x, N = case.x, case.nvars
+        monomials = [a for a in alphas(case) or () if len(a.ring.support(*a._d)) > 1]
+        monomials += [
+            x(1) * x(N),
+            x(2) * x(3),
+            x(2) ** 2 * x(N - 1),
+            3 * x(1) * x(3) * x(5),
+            x(1) ** 2 * x(2) * x(N) ** 3,
+        ]
+        for f in monomials:
+            with monkeypatch.context() as mp:
+                mp.setattr(ideal_ops, "intersect", refuse)
+                fast = lex_strs(colon(case.p2, f))
+            assert fast == lex_strs(_colon_by_elimination(case.p2, f)), (m, n, str(f))
 
 
 def test_fast_path_degree_guard_at_2_pow_15():

@@ -7,14 +7,25 @@ by the smaller index pair), and the reduced basis comes back sorted by
 descending leading monomial.  Output depends only on (generators, order,
 criteria flags).
 
-Buchberger reduces each generator, as it enters, against the generators
-entered before it and drops one that reduces to zero, so generators that
-share a leading term (as many Hankel permanents do) create no pairs of
-their own.  The pair update runs on the packed monomials directly, with
-the same guard-bit arithmetic as the support masks below: b divides a
-exactly when ((a | guard) - b) & guard == guard, and that difference's
-guard bits also mark the fields where a's exponent is at least b's, which
-gives the lcm as a fieldwise maximum.
+Buchberger enters its generators in two steps before it forms any pair.
+It reduces each generator against the entries before it and drops one that
+reduces to zero, so generators that share a leading term (as many Hankel
+permanents do) create no entries of their own.  Then it reduces each
+entry's tail against the entries with smaller leading terms
+(`_reduce_tails`, which interreduction shares), so no term of an entry is
+divisible by another entry's leading term.  Leading terms do not change,
+so the pairs, the criteria and the basis size stay as they were; only the
+tails shrink.  That makes S-polynomials vanish as they are formed: one is
+built from the two tails alone, so the S-polynomial of two monomials is
+zero, and most quadric entries become monomials (on 7x7 under lex, 79 of
+83, since the quadrics of P2 span all but 8 of the 91 quadratic
+monomials).
+
+The pair update runs on the packed monomials directly, with the same
+guard-bit arithmetic as the support masks below: b divides a exactly when
+((a | guard) - b) & guard == guard, and that difference's guard bits also
+mark the fields where a's exponent is at least b's, which gives the lcm as
+a fieldwise maximum.
 
 Every routine reads one entry per basis element, (leading monomial,
 support mask, inverse leading coefficient, tail items): `_prepare` builds
@@ -31,10 +42,10 @@ exact while the table only grows at its end: an appended reducer never
 comes before a divisor already found, and a monomial with no divisor in
 the first n entries needs only the rest scanned.  So every reduction
 picks the same reducer the full scan picks.  A memo lives as long as its
-table, and whoever builds the table owns both: Buchberger for one run (its
-entry and S-pair reductions share them), interreduction and `is_groebner`
-for one call, and `reducer` for the life of the function it returns, which
-its caller keeps for a loop over one basis and then drops.  `normal_form`
+table, and whoever builds the table owns both: Buchberger for one run (one
+for its entries, one for its S-pair reductions), `_reduce_tails` and
+`is_groebner` for one call, and `reducer` for the life of the function it
+returns, which its caller keeps for a loop over one basis and then drops.  `normal_form`
 is one call of a fresh `reducer`.  Nothing is cached on a GroebnerBasis, so
 no memo outlives the caller that needed it.
 """
@@ -292,12 +303,32 @@ def _scaled(items, inv, p):
     return [(m, v * inv) for m, v in items]
 
 
+def _reduce_tails(red, ring, order):
+    """The entries of red, in red's order, each tail reduced by the entries below.
+
+    Goes up in leading-term order with one growing table and one divisor
+    memo, which stays exact because the table only grows at its end.  A
+    tail term is smaller than its leading term, so only a smaller leading
+    term can divide it, and every such entry is already in the table: no
+    term of a returned tail is divisible by any leading term of red.
+    """
+    key = order.key()
+    out = [None] * len(red)
+    table = []
+    first = {}
+    for i in sorted(range(len(red)), key=lambda i: key(red[i][0])):
+        lt, mask, inv, tail = red[i]
+        e = (lt, mask, inv, tuple(_nf_dict(dict(tail), table, ring, order, first).items()))
+        table.append(e)
+        out[i] = e
+    return out
+
+
 def _reduce_basis(red, ring, order):
     """Minimalize and interreduce reducer entries; monic term dicts, LT-descending.
 
-    Each kept tail is reduced against the kept entries themselves: its own
-    leading term divides none of its (smaller) terms.  Normal forms are
-    linear, so the inverse leading coefficient scales the result after.
+    Normal forms are linear, so the inverse leading coefficient scales each
+    reduced tail after.
     """
     key = order.key()
     g = ring.guard
@@ -313,14 +344,10 @@ def _reduce_basis(red, ring, order):
         else:
             kept.append(e)
             kept_lts.append(e[0])
-    out = []
-    first = {}
-    for lt, _, inv, tail in reversed(kept):
-        r = _nf_dict(dict(tail), kept, ring, order, first)
-        if inv != 1:
-            r = dict(_scaled(r.items(), inv, p))
-        out.append({lt: one, **r})
-    return out
+    return [
+        {lt: one, **dict(tail if inv == 1 else _scaled(tail, inv, p))}
+        for lt, _, inv, tail in reversed(_reduce_tails(kept, ring, order))
+    ]
 
 
 def _minimal_lcms(lcms, lm, guard):
@@ -361,14 +388,17 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
     gens : sequence of Polynomial
         Generators, all in one ring; zero generators are dropped.  Each
         one is reduced against the generators before it on entry, and one
-        that reduces to zero is dropped too.
+        that reduces to zero is dropped too.  Then each entry's tail is
+        reduced against the entries with smaller leading terms, before any
+        pair is formed.
     order : MonomialOrder
         Monomial order, lex by default.
     reduce : bool
         With True (default) return the unique reduced basis (monic,
         interreduced, sorted by descending leading monomial).  With False
-        return the raw accumulated basis in discovery order: the
-        entry-reduced generators, then the reduced S-polynomials.
+        return the raw accumulated basis in discovery order: the entries
+        (the generators reduced on entry, their tails interreduced, in
+        input order), then the reduced S-polynomials.
     use_coprime : bool
         Skip S-pairs with coprime leading terms.
     use_chain : bool
@@ -395,14 +425,16 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
     red = []     # reducer entries of the monic basis elements, parallel to lts
     pairs = []   # heap of (lcm key, i, j)
     alive = {}   # (i, j) -> packed lcm
-    first = {}   # divisor memo of red, which only grows at its end
 
-    def add_element(d):
+    def entry(d):
+        """The monic reducer entry of the nonzero term dict d (consumed)."""
         lm = max(d) if lexlike else max(d, key=key)
-        if lm == 0:
-            return True  # a nonzero constant: the whole ring
         c = d.pop(lm)
         tail = tuple(d.items() if c == 1 else _scaled(d.items(), ring.inv(c), ring.char))
+        return (lm, (lm + fill) & guard, 1, tail)
+
+    def add_element(e):
+        lm = e[0]
         t = len(lts)
         # lcm(lts[i], lm) as a fieldwise maximum: a field's guard bit
         # survives (lm | guard) - a exactly where lm's exponent is >= a's.
@@ -440,15 +472,25 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
                     alive[(i, t)] = L
                     heappush(pairs, (key(L), i, t))
         lts.append(lm)
-        red.append((lm, (lm + fill) & guard, 1, tail))
-        return False
+        red.append(e)
 
     # Reduce each generator against those already entered, so duplicate
-    # leading terms and redundant generators create no pairs of their own.
+    # leading terms and redundant generators create no entries of their own;
+    # then interreduce the entries' tails before any pair is formed.
+    entries = []
+    first = {}  # divisor memo of entries, which only grows at its end
     for g in live:
-        d = _nf_dict(dict(g._d), red, ring, order, first)
-        if d and add_element(d):
-            return GroebnerBasis((ring.one(),), order, True, True)
+        d = _nf_dict(dict(g._d), entries, ring, order, first)
+        if d:
+            e = entry(d)
+            if not e[0]:
+                return GroebnerBasis((ring.one(),), order, True, True)  # a nonzero constant
+            entries.append(e)
+    # from here on, the divisor memo of red (which only grows at its end);
+    # dropping the entries' memo before the tail step keeps peak memory down
+    first = {}
+    for e in _reduce_tails(entries, ring, order):
+        add_element(e)
 
     while pairs:
         _, i, j = heappop(pairs)
@@ -460,8 +502,10 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
             continue
         r = _nf_dict(s, red, ring, order, first)
         if r:
-            if add_element(r):
+            e = entry(r)
+            if not e[0]:
                 return GroebnerBasis((ring.one(),), order, True, True)
+            add_element(e)
 
     if not reduce:
         one = ring.coeff(1)

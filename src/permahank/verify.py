@@ -27,7 +27,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import combinations, permutations, product as iproduct
 
-from .ring import LEX
+from .ring import _BITS, _FMASK, LEX, Polynomial
 from .groebner import (
     inter_reduce,
     is_groebner,
@@ -167,23 +167,22 @@ def q1(case):
     return case._cache["q1"]
 
 
-def q2(case):
-    """Primary component at the second minimal prime (x2..x_{r+1}).
+def _reverse_indices(f, k):
+    """f under x_i -> x_(k+1-i) for i <= k, moving the fields of its packed monomials."""
+    low = (f.ring.nvars - k) * _BITS  # the fields of x_(k+1)..x_n stay
+    moves = [(low + j * _BITS, low + (k - 1 - j) * _BITS) for j in range(k)]
+    return Polynomial._raw(f.ring, {
+        sum(((m >> a) & _FMASK) << b for a, b in moves) | m & ((1 << low) - 1): c
+        for m, c in f._d.items()
+    })
 
-    Mirror image of q1 under the index reversal i -> r+2-i.
-    """
+
+def q2(case):
+    """Primary component at the second minimal prime (x2..x_{r+1}): q1 under i -> r+2-i."""
     if "q2" not in case._cache:
-        r = case.r
-        x = case.x
-        gens = [x(i) for i in range(5, r + 2)]
-        gens += [
-            x(1) * x(3) + x(2) ** 2,
-            x(1) * x(4) + x(2) * x(3),
-            x(2) * x(4),
-            x(3) ** 2,
-            x(3) * x(4),
-            x(4) ** 2,
-        ]
+        gens = [_reverse_indices(g, case.r + 1) for g in q1(case).generators]
+        # listed as q1 lists its own: by degree, then by descending lex leading term
+        gens.sort(key=lambda g: (g.total_degree(), [-e for e in g.leading_monomial()]))
         case._cache["q2"] = Ideal(case.ring, gens)
     return case._cache["q2"]
 

@@ -362,6 +362,136 @@ def test_reduced_basis_enters_unchanged(name, char):
     assert buchberger(B.elements[::-1], order) == B
 
 
+# -- the entry phase: generators interreduced before any pair -----------------
+
+
+def p2_inputs(shape, char):
+    """P2 and P2 + (x_N^2) of a shape: same-degree generators, many redundant."""
+    gens = perms(*map(int, shape.split("x")), char)
+    R = gens[0].ring
+    return {"P2": gens, "P2+xN^2": gens + [R.var(R.nvars) ** 2]}
+
+
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+# Recorded before the entries' tails were interreduced: the length and digest
+# of the reduced basis, which the entry phase must not change.
+REDUCED_BASES = {
+    ("2x6", 0, "lex", "P2"): (28, "1d2ab48eb2a1fbcc"),
+    ("2x6", 0, "lex", "P2+xN^2"): (30, "edd5dd7b2c3669e5"),
+    ("2x6", 0, "deglex", "P2"): (28, "619e19ceca94e1a4"),
+    ("2x6", 0, "deglex", "P2+xN^2"): (30, "ed0c784daab14a0b"),
+    ("2x6", 0, "revlex", "P2"): (26, "9d204d8b9b727abc"),
+    ("2x6", 0, "revlex", "P2+xN^2"): (24, "c96e24ff3e3655fd"),
+    ("2x6", 32003, "lex", "P2"): (28, "cfd77a6aa766847f"),
+    ("2x6", 32003, "lex", "P2+xN^2"): (30, "15e8db1ef4fb9443"),
+    ("2x6", 32003, "deglex", "P2"): (28, "facfead26ad82f4b"),
+    ("2x6", 32003, "deglex", "P2+xN^2"): (30, "2799502a36ec5f7e"),
+    ("2x6", 32003, "revlex", "P2"): (26, "3f806288ff386974"),
+    ("2x6", 32003, "revlex", "P2+xN^2"): (24, "09b09c08e10a17c4"),
+    ("3x4", 0, "lex", "P2"): (16, "cd781dcc3ec4c41b"),
+    ("3x4", 0, "lex", "P2+xN^2"): (18, "e9125abc2ab50655"),
+    ("3x4", 0, "deglex", "P2"): (16, "26af38ca885351fb"),
+    ("3x4", 0, "deglex", "P2+xN^2"): (18, "bd9ffcb5266ce9bf"),
+    ("3x4", 0, "revlex", "P2"): (16, "6c3c01b88c13ce3a"),
+    ("3x4", 0, "revlex", "P2+xN^2"): (16, "9ebb593b63fa316c"),
+    ("3x4", 32003, "lex", "P2"): (16, "cd781dcc3ec4c41b"),
+    ("3x4", 32003, "lex", "P2+xN^2"): (18, "e9125abc2ab50655"),
+    ("3x4", 32003, "deglex", "P2"): (16, "26af38ca885351fb"),
+    ("3x4", 32003, "deglex", "P2+xN^2"): (18, "bd9ffcb5266ce9bf"),
+    ("3x4", 32003, "revlex", "P2"): (16, "f13182ca23778c40"),
+    ("3x4", 32003, "revlex", "P2+xN^2"): (16, "386357164e406016"),
+    ("4x5", 0, "lex", "P2"): (32, "42ae74759e2aaa5b"),
+    ("4x5", 0, "lex", "P2+xN^2"): (34, "2400955f85e6cdc2"),
+    ("4x5", 0, "deglex", "P2"): (32, "a1915bb23544ceaf"),
+    ("4x5", 0, "deglex", "P2+xN^2"): (34, "59d83602927982ef"),
+    ("4x5", 0, "revlex", "P2"): (28, "5b5ce0a4a8332c2b"),
+    ("4x5", 0, "revlex", "P2+xN^2"): (29, "b2c62494a93cd5af"),
+    ("4x5", 32003, "lex", "P2"): (32, "42ae74759e2aaa5b"),
+    ("4x5", 32003, "lex", "P2+xN^2"): (34, "2400955f85e6cdc2"),
+    ("4x5", 32003, "deglex", "P2"): (32, "a1915bb23544ceaf"),
+    ("4x5", 32003, "deglex", "P2+xN^2"): (34, "59d83602927982ef"),
+    ("4x5", 32003, "revlex", "P2"): (28, "5b5ce0a4a8332c2b"),
+    ("4x5", 32003, "revlex", "P2+xN^2"): (29, "b2c62494a93cd5af"),
+}
+
+
+@pytest.mark.parametrize("shape,char,name,ideal", sorted(REDUCED_BASES), ids=lambda v: str(v))
+def test_entries_of_same_degree_input_are_interreduced(shape, char, name, ideal):
+    gens = p2_inputs(shape, char)[ideal]
+    order = entry_order(name, gens[0].ring.nvars)
+    raw = buchberger(gens, order, reduce=False).elements
+    # the entries come first and keep the generators' degree 2; a reduced
+    # S-polynomial of two quadrics has a larger one
+    k = sum(f.total_degree() == 2 for f in raw)
+    entries = raw[:k]
+    assert all(f.total_degree() == 2 for f in entries)
+    lts = [f.leading_monomial(order) for f in entries]
+    for i, f in enumerate(entries):
+        for _, e in f.terms():
+            assert not any(divides(lt, e) for j, lt in enumerate(lts) if j != i)
+    nf = reducer(entries, order)
+    assert all(nf(g).is_zero for g in gens)
+    B = buchberger(gens, order)
+    assert all(B.contains(f) for f in entries)
+    assert (len(B), digest(B)) == REDUCED_BASES[shape, char, name, ideal]
+
+
+def mixed_degree_inputs(R, name):
+    """f, g, h, k in three variables: lt(f) = x1 * lt(g), h = f + x3*g, and k."""
+    # reverse-lex makes x1 the smallest variable, so it swaps x1 and x3
+    a, b, c = (R.var(i) for i in ((3, 2, 1) if name == "revlex" else (1, 2, 3)))
+    return a**2 * b + c**3, a * b - c**2, a**2 * b + a * b * c, c**3 + a * b * c + b**2 * c
+
+
+# Recorded before the entries' tails were interreduced: the reduced bases of
+# (f, g) and of (h, g, k), whose tails need reducing after Buchberger.
+MIXED_BASES = {
+    ("lex", 0): (
+        ["x1*x2 - x3^2", "x1*x3^2 + x3^3", "x2*x3^3 + x3^4"],
+        ["x1*x2 - x3^2", "x1*x3^2 + x3^3", "x2^2*x3 + 2*x3^3", "x2*x3^3", "x3^4"],
+    ),
+    ("deglex", 0): (
+        ["x2*x3^3 + x3^4", "x1*x3^2 + x3^3", "x1*x2 - x3^2"],
+        ["x2*x3^3", "x3^4", "x1*x3^2 + x3^3", "x2^2*x3 + 2*x3^3", "x1*x2 - x3^2"],
+    ),
+    ("revlex", 0): (
+        ["x1^4 + x1^3*x2", "x1^3 + x1^2*x3", "-x1^2 + x2*x3"],
+        ["x1^3*x2", "x1^4", "2*x1^3 + x1*x2^2", "x1^3 + x1^2*x3", "-x1^2 + x2*x3"],
+    ),
+    ("lex", 32003): (
+        ["x1*x2 + 32002*x3^2", "x1*x3^2 + x3^3", "x2*x3^3 + x3^4"],
+        ["x1*x2 + 32002*x3^2", "x1*x3^2 + x3^3", "x2^2*x3 + 2*x3^3", "x2*x3^3", "x3^4"],
+    ),
+    ("deglex", 32003): (
+        ["x2*x3^3 + x3^4", "x1*x3^2 + x3^3", "x1*x2 + 32002*x3^2"],
+        ["x2*x3^3", "x3^4", "x1*x3^2 + x3^3", "x2^2*x3 + 2*x3^3", "x1*x2 + 32002*x3^2"],
+    ),
+    ("revlex", 32003): (
+        ["x1^4 + x1^3*x2", "x1^3 + x1^2*x3", "32002*x1^2 + x2*x3"],
+        ["x1^3*x2", "x1^4", "2*x1^3 + x1*x2^2", "x1^3 + x1^2*x3", "32002*x1^2 + x2*x3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name,char", ENTRY_CASES)
+def test_entry_phase_of_mixed_degree_input(name, char):
+    R = Ring(3, char)
+    order = entry_order(name, 3)
+    f, g, h, k = mixed_degree_inputs(R, name)
+    for gens in ([f, g], [h, g]):
+        # h's tail term x1*x2*x3 reduces by lt(g) although g enters after h;
+        # the leading terms stay, although lt(g) divides lt(f)
+        assert buchberger(gens, order, reduce=False).elements[:2] == (f, g)
+        assert [str(p) for p in buchberger(gens, order)] == MIXED_BASES[name, char][0]
+    assert [str(p) for p in buchberger([h, g, k], order)] == MIXED_BASES[name, char][1]
+    # f + 1 reduces to 1 on entry after h and g, and from an S-polynomial before them
+    for gens in ([h, g, f + 1], [f + 1, h, g]):
+        assert buchberger(gens, order).elements == (R.one(),)
+
+
 # -- non-monic input: inverse leading coefficients in the reducer entries -----
 
 
@@ -489,36 +619,38 @@ def digest(polys):
     return hashlib.sha256("\n".join(map(str, polys)).encode()).hexdigest()[:16]
 
 
-# Recorded from the linear-scan engine, before the divisor memo and the
-# quotient form of the minimal-lcm test: per shape, field and order, the
-# length and digest of buchberger(..., reduce=False), then the digests of the
-# is_groebner witnesses with the last element and the middle element of that
-# raw basis left out (None: still a Groebner basis).
+# Recorded from a linear-scan reference of this engine, in which every
+# _nf_dict call gets a fresh divisor memo and _minimal_lcms is replaced by
+# all_pairs_minimal_lcms below (re-derived when Buchberger began to interreduce
+# its entries' tails before forming pairs, which changes the raw bases): per
+# shape, field and order, the length and digest of buchberger(..., reduce=False),
+# then the digests of the is_groebner witnesses with the last element and the
+# middle element of that raw basis left out (None: still a Groebner basis).
 RECORDED = {
-    ("2x5", 0, "lex"): (22, "f5e116dad29f0329", "8d27d434396ca838", "25673a24ab850cb9"),
-    ("2x5", 0, "deglex"): (20, "a5d47af7f6569e55", "8d27d434396ca838", "a9b4a5f307899e18"),
+    ("2x5", 0, "lex"): (22, "a4be0a0470a70d21", "8d27d434396ca838", "25673a24ab850cb9"),
+    ("2x5", 0, "deglex"): (20, "284036014ba119f5", "8d27d434396ca838", "a9b4a5f307899e18"),
     ("2x5", 0, "revlex"): (18, "a9caf995743be16d", "fd53d903e7989524", "b4c95ec7576c8460"),
-    ("2x5", 32003, "lex"): (22, "f5e116dad29f0329", "8d27d434396ca838", "25673a24ab850cb9"),
-    ("2x5", 32003, "deglex"): (20, "a5d47af7f6569e55", "8d27d434396ca838", "60d75715baf747ef"),
+    ("2x5", 32003, "lex"): (22, "9d9b3a188884fe36", "8d27d434396ca838", "25673a24ab850cb9"),
+    ("2x5", 32003, "deglex"): (20, "73468331cf1dd233", "8d27d434396ca838", "60d75715baf747ef"),
     ("2x5", 32003, "revlex"): (18, "679d3e3c81183910", "a6cc263dcac71dea", "b4c95ec7576c8460"),
-    ("3x4", 0, "lex"): (16, "765e7bb730e718a2", "8d27d434396ca838", "23f2c2644e68fd4e"),
-    ("3x4", 0, "deglex"): (16, "4059201f7ca94433", "8d27d434396ca838", "23f2c2644e68fd4e"),
-    ("3x4", 0, "revlex"): (16, "90b43161fff74d44", "9b66113a98860280", "8590414fac5cb2b7"),
-    ("3x4", 32003, "lex"): (16, "f2be7ab3446d4a57", "8d27d434396ca838", "942e59ee9e10fb4b"),
-    ("3x4", 32003, "deglex"): (16, "5e32c6cfd1288fdd", "8d27d434396ca838", "942e59ee9e10fb4b"),
-    ("3x4", 32003, "revlex"): (16, "6feffdefbb092c9b", "d72722e204051cd0", "8590414fac5cb2b7"),
-    ("3x5", 0, "lex"): (24, "cdce981da3fcd7f7", "8d27d434396ca838", "7a46dec33dbfea8f"),
-    ("3x5", 0, "deglex"): (24, "77541112f332cdbe", "8d27d434396ca838", "7a46dec33dbfea8f"),
-    ("3x5", 0, "revlex"): (20, "f7b61a4ef604a06c", None, None),
-    ("3x5", 32003, "lex"): (24, "9c2cd0b687724f73", "8d27d434396ca838", "774a6d22536b023e"),
-    ("3x5", 32003, "deglex"): (24, "4def7cb0c01a3851", "8d27d434396ca838", "774a6d22536b023e"),
-    ("3x5", 32003, "revlex"): (20, "197376e676c131be", None, None),
-    ("4x4", 0, "lex"): (22, "6c729f5fa762f210", "8d27d434396ca838", "a2bb28867950751a"),
-    ("4x4", 0, "deglex"): (22, "281fa7e189bcb918", "8d27d434396ca838", "a2bb28867950751a"),
-    ("4x4", 0, "revlex"): (20, "8ee47d601c87c4ee", "2771bd8d0b40a686", "87a68e3ccbe72bc5"),
-    ("4x4", 32003, "lex"): (22, "6ff6024ea39eea86", "8d27d434396ca838", "cabff09659b2756f"),
-    ("4x4", 32003, "deglex"): (22, "513473174882f1dc", "8d27d434396ca838", "cabff09659b2756f"),
-    ("4x4", 32003, "revlex"): (20, "ca0ec6f7628dc7c9", "3a4fd9b04bbf7758", "31160ad3acde77cc"),
+    ("3x4", 0, "lex"): (16, "f6253331f5fb184f", "8d27d434396ca838", "aea9e98d15707f36"),
+    ("3x4", 0, "deglex"): (16, "749e3937569ca10b", "8d27d434396ca838", "aea9e98d15707f36"),
+    ("3x4", 0, "revlex"): (16, "6e35c081360b1903", "9b66113a98860280", "846375e56f534e5a"),
+    ("3x4", 32003, "lex"): (16, "f6253331f5fb184f", "8d27d434396ca838", "7f9ad26c54199dab"),
+    ("3x4", 32003, "deglex"): (16, "749e3937569ca10b", "8d27d434396ca838", "7f9ad26c54199dab"),
+    ("3x4", 32003, "revlex"): (16, "b36aff2187b121ce", "d72722e204051cd0", "846375e56f534e5a"),
+    ("3x5", 0, "lex"): (24, "64283fd7867b8acf", "8d27d434396ca838", "66995cda50685dbd"),
+    ("3x5", 0, "deglex"): (24, "49837768b85966ed", "8d27d434396ca838", "66995cda50685dbd"),
+    ("3x5", 0, "revlex"): (20, "17a575b697ecfb48", None, None),
+    ("3x5", 32003, "lex"): (24, "64283fd7867b8acf", "8d27d434396ca838", "713a8f9c96c3fe37"),
+    ("3x5", 32003, "deglex"): (24, "49837768b85966ed", "8d27d434396ca838", "713a8f9c96c3fe37"),
+    ("3x5", 32003, "revlex"): (20, "17a575b697ecfb48", None, None),
+    ("4x4", 0, "lex"): (22, "4ba7821947967c81", "8d27d434396ca838", "9801bd0ba346e170"),
+    ("4x4", 0, "deglex"): (22, "f28ee080abedce2c", "8d27d434396ca838", "9801bd0ba346e170"),
+    ("4x4", 0, "revlex"): (20, "c58acb680b3ea64d", "2771bd8d0b40a686", "f84ff8d2814ad2fc"),
+    ("4x4", 32003, "lex"): (22, "4ba7821947967c81", "8d27d434396ca838", "5d4520bf7e96a133"),
+    ("4x4", 32003, "deglex"): (22, "f28ee080abedce2c", "8d27d434396ca838", "5d4520bf7e96a133"),
+    ("4x4", 32003, "revlex"): (20, "923bc141fcf51a99", "3a4fd9b04bbf7758", "bb033804925c9b6c"),
 }
 
 

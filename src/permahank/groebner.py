@@ -19,7 +19,8 @@ tails shrink.  That makes S-polynomials vanish as they are formed: one is
 built from the two tails alone, so the S-polynomial of two monomials is
 zero, and most quadric entries become monomials (on 7x7 under lex, 79 of
 83, since the quadrics of P2 span all but 8 of the 91 quadratic
-monomials).
+monomials).  So no pair of two monomial entries is queued; its lcm still
+feeds the M-criterion and the coprime test, and the raw basis is unchanged.
 
 The pair update runs on the packed monomials directly, with the same
 guard-bit arithmetic as the support masks below: b divides a exactly when
@@ -390,7 +391,8 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
         one is reduced against the generators before it on entry, and one
         that reduces to zero is dropped too.  Then each entry's tail is
         reduced against the entries with smaller leading terms, before any
-        pair is formed.
+        pair is formed.  A pair of two monomial entries is never queued:
+        its S-polynomial is zero, so the raw basis does not change.
     order : MonomialOrder
         Monomial order, lex by default.
     reduce : bool
@@ -435,6 +437,7 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
 
     def add_element(e):
         lm = e[0]
+        mono = not e[3]  # a monomial entry: it has no tail
         t = len(lts)
         # lcm(lts[i], lm) as a fieldwise maximum: a field's guard bit
         # survives (lm | guard) - a exactly where lm's exponent is >= a's.
@@ -462,12 +465,14 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
                 if use_coprime and any(L == lts[i] + lm for i in grp):
                     continue
                 i = grp[0]
+                if mono and not red[i][3]:
+                    continue
                 alive[(i, t)] = L
                 heappush(pairs, (key(L), i, t))
         else:
             for L in sorted(by_lcm, key=key):
                 for i in by_lcm[L]:
-                    if use_coprime and L == lts[i] + lm:
+                    if use_coprime and L == lts[i] + lm or mono and not red[i][3]:
                         continue
                     alive[(i, t)] = L
                     heappush(pairs, (key(L), i, t))

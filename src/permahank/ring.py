@@ -285,12 +285,6 @@ class Ring:
             m >>= _BITS
         return tuple(reversed(out))
 
-    def compare(self, a, b, order=LEX):
-        """Compare two exponent tuples under the given order: -1, 0 or 1."""
-        key = order.key()
-        ka, kb = key(self.pack(a)), key(self.pack(b))
-        return (ka > kb) - (ka < kb)
-
     # -- polynomial builders -----------------------------------------------
 
     def zero(self):

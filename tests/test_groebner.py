@@ -27,6 +27,7 @@ from permahank import (
     reducer,
     s_polynomial,
 )
+from permahank import groebner
 from permahank.groebner import _minimal_lcms, _nf_dict, _prepare
 from permahank.ring import _RevlexOrder
 
@@ -437,6 +438,26 @@ def test_entries_of_same_degree_input_are_interreduced(shape, char, name, ideal)
     B = buchberger(gens, order)
     assert all(B.contains(f) for f in entries)
     assert (len(B), digest(B)) == REDUCED_BASES[shape, char, name, ideal]
+
+
+@pytest.mark.parametrize("shape,char,name,ideal", sorted(REDUCED_BASES), ids=lambda v: str(v))
+def test_no_s_polynomial_of_two_monomial_entries(shape, char, name, ideal, monkeypatch):
+    gens = p2_inputs(shape, char)[ideal]
+    order = entry_order(name, gens[0].ring.nvars)
+    formed = []
+    spoly = groebner._spoly_dict
+
+    def counted(a, b, ring):
+        formed.append(bool(a[3] or b[3]))
+        return spoly(a, b, ring)
+
+    monkeypatch.setattr(groebner, "_spoly_dict", counted)
+    for chain in (True, False):
+        formed.clear()
+        B = buchberger(gens, order, use_chain=chain)
+        # most entries are monomials, yet every pair formed has a tail
+        assert formed and all(formed)
+        assert (len(B), digest(B)) == REDUCED_BASES[shape, char, name, ideal]
 
 
 def mixed_degree_inputs(R, name):

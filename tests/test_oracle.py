@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from permahank import DEGLEX, LEX, HankelMatrix, Ring, buchberger, permanent_generators  # noqa: E402
+from permahank import (  # noqa: E402
+    DEGLEX, LEX, HankelMatrix, Ring, buchberger, is_groebner, permanent_generators,
+)
 from permahank.ring import _RevlexOrder  # noqa: E402
 
 # sympy's names for the same orders: x1 largest, grlex compares degree first;
@@ -106,3 +108,29 @@ def test_mixed_degree_bases_agree_with_sympy(char, name):
     k = c**3 + a * b * c + b**2 * c
     for gens in ([f, g], [h, g], [h, g, k], [h, g, f + 1]):
         assert set(buchberger(gens, order).elements) == sympy_basis(gens, order)
+
+
+def monomial_heavy_ideals(ring):
+    """Monomials mixed with binomials and trinomials, in shuffled order."""
+    exps = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    mono = exps.map(ring.monomial)
+    term = st.tuples(st.integers(-3, 3).filter(bool), exps)
+    poly = st.lists(term, min_size=2, max_size=3).map(ring.poly)
+    return st.tuples(
+        st.lists(mono, min_size=2, max_size=5), st.lists(poly, min_size=1, max_size=3)
+    ).flatmap(lambda t: st.permutations(t[0] + t[1]))
+
+
+@pytest.mark.parametrize("name", ORDER_NAMES)
+@pytest.mark.parametrize("ring", [R3, R3P, Ring(4), Ring(4, PRIME)], ids=["q3", "gfp3", "q4", "gfp4"])
+@given(data=st.data())
+@settings(max_examples=15, derandomize=True, deadline=None)
+def test_monomial_heavy_ideals_agree_with_the_reference_and_sympy(ring, name, data):
+    # Buchberger queues no pair of two monomial entries; the raw basis must
+    # still be a Groebner basis, and the reduced one what every pair gives
+    gens = [g for g in data.draw(monomial_heavy_ideals(ring)) if not g.is_zero]
+    order = order_named(name, ring.nvars)
+    assert is_groebner(buchberger(gens, order, reduce=False)) == (True, None)
+    B = buchberger(gens, order)
+    assert B == buchberger(gens, order, use_chain=False, use_coprime=False)
+    assert set(B.elements) == sympy_basis(gens, order)

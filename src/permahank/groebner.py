@@ -5,7 +5,7 @@ order with the largest reducible term rewritten first, pairs are selected
 by the normal strategy (smallest lcm under the active order, ties broken
 by the smaller index pair), and the reduced basis comes back sorted by
 descending leading monomial.  Output depends only on (generators, order,
-criteria flags).
+use_chain).
 
 Buchberger enters its generators in two steps before it forms any pair.
 It reduces each generator against the entries before it and drops one that
@@ -128,28 +128,19 @@ def _nf_dict(work, red, ring, order, first):
             first[m] = e
         lt, _, inv, tail = e
         q = m - lt
-        if p:
-            f = c if inv == 1 else c * inv % p
-            for tm, tc in tail:
-                k2 = tm + q
-                seen |= k2
-                v = work.get(k2)
-                v = (-f * tc) % p if v is None else (v - f * tc) % p
-                if v:
-                    work[k2] = v
-                else:
-                    del work[k2]
-        else:
-            f = c if inv == 1 else c * inv
-            for tm, tc in tail:
-                k2 = tm + q
-                seen |= k2
-                v = work.get(k2)
-                v = -f * tc if v is None else v - f * tc
-                if v:
-                    work[k2] = v
-                else:
-                    del work[k2]
+        if inv != 1:
+            c = c * inv % p if p else c * inv
+        for tm, tc in tail:
+            k2 = tm + q
+            seen |= k2
+            v = work.get(k2)
+            v = -c * tc if v is None else v - c * tc
+            if p:
+                v %= p
+            if v:
+                work[k2] = v
+            else:
+                del work[k2]
         if seen & g:
             raise ValueError(f"exponent overflow: a normal-form exponent exceeds {_EMAX}")
     return out
@@ -168,16 +159,10 @@ def _spoly_dict(a, b, ring):
     p = ring.char
     d = {}
     seen = 0
-    if finv == 1:
-        for m, c in ftail:
-            k = m + qf
-            seen |= k
-            d[k] = c
-    else:
-        for m, c in ftail:
-            k = m + qf
-            seen |= k
-            d[k] = c * finv % p if p else c * finv
+    for m, c in ftail:
+        k = m + qf
+        seen |= k
+        d[k] = c if finv == 1 else (c * finv % p if p else c * finv)
     for m, c in gtail:
         k = m + qg
         seen |= k
@@ -299,9 +284,7 @@ class GroebnerBasis:
 
 def _scaled(items, inv, p):
     """(monomial, coefficient) pairs with every coefficient times inv."""
-    if p:
-        return [(m, v * inv % p) for m, v in items]
-    return [(m, v * inv) for m, v in items]
+    return [(m, v * inv % p if p else v * inv) for m, v in items]
 
 
 def _reduce_tails(red, ring, order):
@@ -381,7 +364,7 @@ def _minimal_lcms(lcms, lm, guard):
     return out
 
 
-def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
+def buchberger(gens, order=LEX, reduce=True, use_chain=True):
     """Groebner basis of the ideal generated by gens.
 
     Parameters
@@ -401,12 +384,13 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
         return the raw accumulated basis in discovery order: the entries
         (the generators reduced on entry, their tails interreduced, in
         input order), then the reduced S-polynomials.
-    use_coprime : bool
-        Skip S-pairs with coprime leading terms.
     use_chain : bool
-        Apply the Gebauer-Moeller chain criteria (prune old pairs whose
-        lcm factors through the new element, keep only minimal lcms and one
-        representative pair per lcm).
+        With True (default) apply the Gebauer-Moeller criteria: prune old
+        pairs whose lcm factors through the new element, keep only minimal
+        lcms and one representative pair per lcm, and skip pairs whose
+        leading terms are coprime.  With False queue every pair, coprime
+        ones too (but never one of two monomial entries): the all-pairs
+        reference that the criteria must agree with.
 
     Returns
     -------
@@ -455,27 +439,21 @@ def buchberger(gens, order=LEX, reduce=True, use_coprime=True, use_chain=True):
             ]
             for ij in dead:
                 del alive[ij]
-        by_lcm = {}
-        for i, L in enumerate(lcms):
-            by_lcm.setdefault(L, []).append(i)
-        # Coprime leading terms are exactly those whose lcm is their product.
-        if use_chain:
-            for L in _minimal_lcms(sorted(by_lcm, key=key), lm, guard):
-                grp = by_lcm[L]
-                if use_coprime and any(L == lts[i] + lm for i in grp):
-                    continue
-                i = grp[0]
-                if mono and not red[i][3]:
-                    continue
-                alive[(i, t)] = L
-                heappush(pairs, (key(L), i, t))
+            by_lcm = {}
+            for i, L in enumerate(lcms):
+                by_lcm.setdefault(L, []).append(i)
+            # Coprime leading terms are exactly those whose lcm is their product.
+            queue = [
+                (by_lcm[L][0], L) for L in _minimal_lcms(sorted(by_lcm, key=key), lm, guard)
+                if not any(L == lts[i] + lm for i in by_lcm[L])
+            ]
         else:
-            for L in sorted(by_lcm, key=key):
-                for i in by_lcm[L]:
-                    if use_coprime and L == lts[i] + lm or mono and not red[i][3]:
-                        continue
-                    alive[(i, t)] = L
-                    heappush(pairs, (key(L), i, t))
+            queue = enumerate(lcms)
+        for i, L in queue:
+            if mono and not red[i][3]:
+                continue
+            alive[(i, t)] = L
+            heappush(pairs, (key(L), i, t))
         lts.append(lm)
         red.append(e)
 

@@ -12,20 +12,24 @@ reverse-lex property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra
 15.7) x_k^a divides a homogeneous g exactly when it divides lt(g), so
 dividing out powers of x_k keeps G a basis: (I : x_k^e) is generated by
 g / x_k^min(e, nu(g)) and (I : x_k^infinity) by g / x_k^nu(g), where nu is
-the exponent of x_k.  Colon by a monomial takes one variable at a time,
-(I : x_a^e_a x_b^e_b) = ((I : x_a^e_a) : x_b^e_b), and every step keeps the
-generators homogeneous.  Every other colon is the reference path: the
-generators of I cap (f) divided exactly by f; and every saturation by
-anything but a variable power iterates those colons until the chain
-stabilizes.  Either way saturation reports the stabilization exponent,
-which PERMAHANK_MAX_ITERS caps.
+the exponent of x_k.  Those are all the colons and saturations the
+decomposition makes.  Every other colon, by a monomial of several
+variables too, is the reference path: (I : f) = (I cap (f)) / f
+(Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 4), the
+generators of the intersection divided exactly by f.  One reverse-lex
+basis per variable of a monomial costs more than that one elimination,
+which starts from I's cached lex basis.  Every other saturation iterates
+colons by elimination until the chain stabilizes.  Either way saturation
+reports the stabilization exponent, which PERMAHANK_MAX_ITERS caps.
 """
 
 from __future__ import annotations
 
 import os
 
-from .ring import LEX, Polynomial, _BITS, _EMAX, _FMASK, _RevlexOrder, extend, lift, restrict
+from .ring import (
+    LEX, Polynomial, _BITS, _EMAX, _FMASK, _RevlexOrder, _degree, extend, lift, restrict,
+)
 from .groebner import GroebnerBasis, _prepare, buchberger, reducer
 
 DEFAULT_SATURATION_CAP = 64
@@ -173,20 +177,18 @@ def _check_divisor(I, f):
         raise ValueError("colon by zero is undefined")
 
 
-def _monomial_exponents(I, f):
-    """[(k, e), ...] over the variables of f = c * prod x_k^e, else None.
+def _variable_power(I, f):
+    """(k, e) when f = c * x_k^e, e >= 1, and I has homogeneous generators.
 
-    None unless f is a single term and I has homogeneous generators.
+    None otherwise: the colon and saturation of I by f then go by elimination.
     """
     if I.is_zero or len(f) != 1:
         return None
-    unpack = I.ring.unpack
-    for g in I.generators:
-        if len({sum(unpack(t)) for t in g._d}) != 1:
-            return None
     (m,) = f._d
-    exps = unpack(m)
-    return [(k, exps[k - 1]) for k in I.ring.support(m)]
+    k = I.ring.support(m)
+    if len(k) != 1 or any(len({_degree(t) for t in g._d}) != 1 for g in I.generators):
+        return None
+    return k[0], _degree(m)
 
 
 def _swapper(ring, k):
@@ -230,23 +232,17 @@ def _revlex_basis(I, k):
 def colon(I, f):
     """The colon ideal (I : f).
 
-    For a monomial f = c * prod x_k^e_k and homogeneous generators of I,
-    takes (I : x_k^e_k) one variable at a time, each by dividing
-    x_k^min(e_k, nu) out of a reverse-lex basis (see the module docstring);
-    every quotient stays homogeneous.  Otherwise computes (I cap (f))
-    divided by f.
+    For f = c * x_k^e and homogeneous generators of I, divides
+    x_k^min(e, nu(g)) out of each g of the reverse-lex basis with x_k
+    smallest (see the module docstring); every quotient stays homogeneous.
+    Any other f, a monomial of several variables included, goes to
+    `_colon_by_elimination`.
     """
     _check_divisor(I, f)
-    powers = _monomial_exponents(I, f)
-    if powers is None:
+    power = _variable_power(I, f)
+    if power is None:
         return _colon_by_elimination(I, f)
-    for k, e in powers:
-        I = _colon_by_variable(I, k, e)
-    return I
-
-
-def _colon_by_variable(I, k, e):
-    """(I : x_k^e) from the reverse-lex basis of homogeneous I."""
+    k, e = power
     ring = I.ring
     swap = _swapper(ring, k)
     top = (ring.nvars - 1) * _BITS
@@ -270,14 +266,14 @@ def _colon_by_elimination(I, f):
     return Ideal(I.ring, [_exact_div(g, f) for g in K.generators])
 
 
-def saturate(I, f, max_iters=None):
+def saturate(I, f):
     """Saturation of I at f: the stable colon (I : f^infinity).
 
     Returns (S, n) where S = (I : f^n) and n is the smallest exponent with
-    (I : f^n) = (I : f^(n+1)).  The iteration cap defaults to 64 and can be
-    overridden by the PERMAHANK_MAX_ITERS environment variable; n >= cap
-    raises RuntimeError, since the chain must stabilize in a Noetherian
-    ring and a cap hit means it was not seen to.
+    (I : f^n) = (I : f^(n+1)).  The cap on n is 64, or the value of the
+    PERMAHANK_MAX_ITERS environment variable; n >= cap raises RuntimeError,
+    since the chain must stabilize in a Noetherian ring and a cap hit means
+    it was not seen to.
 
     For f = c*x_k^e and homogeneous generators of I, n comes from the
     reduced reverse-lex basis G with x_k smallest: with j = max nu(lt g),
@@ -289,29 +285,25 @@ def saturate(I, f, max_iters=None):
     gives u / x_k^(i+1), which lies in (in(I) : x_k^(i+1)) but not in
     (in(I) : x_k^i), since u / x_k is not in in(I).  So the x_k-chain first
     stabilizes at i = j, and the chain in f = c*x_k^e at the first n with
-    e*n >= j.  Any other input iterates colons by elimination.
+    e*n >= j.  Any other input, a monomial of several variables included,
+    iterates colons by elimination.
     """
-    if max_iters is None:
-        raw = os.environ.get("PERMAHANK_MAX_ITERS", DEFAULT_SATURATION_CAP)
-        try:
-            max_iters = int(raw)
-        except ValueError:
-            max_iters = 0
-        if max_iters < 1:
-            raise ValueError(
-                f"PERMAHANK_MAX_ITERS must be a positive integer, got {raw!r}"
-            )
-    elif max_iters < 1:
-        raise ValueError("iteration cap must be positive")
+    raw = os.environ.get("PERMAHANK_MAX_ITERS", DEFAULT_SATURATION_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"PERMAHANK_MAX_ITERS must be a positive integer, got {raw!r}")
     _check_divisor(I, f)
-    powers = _monomial_exponents(I, f)
-    if powers is None or len(powers) != 1:
-        return _saturate_by_colons(I, f, max_iters)
-    ((k, e),) = powers
+    power = _variable_power(I, f)
+    if power is None:
+        return _saturate_by_colons(I, f, cap)
+    k, e = power
     j = max(nu for _, nu in _revlex_basis(I, k))
     n = -(-j // e)
-    if n >= max_iters:
-        raise RuntimeError(f"saturation did not stabilize within {max_iters} steps")
+    if n >= cap:
+        raise RuntimeError(f"saturation did not stabilize within {cap} steps")
     if n == 0:
         return I, 0
     return colon(I, I.ring.var(k) ** j), n

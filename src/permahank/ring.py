@@ -427,9 +427,7 @@ class Polynomial:
 
     def __neg__(self):
         p = self.ring.char
-        if p:
-            return Polynomial._raw(self.ring, {m: p - c for m, c in self._d.items()})
-        return Polynomial._raw(self.ring, {m: -c for m, c in self._d.items()})
+        return Polynomial._raw(self.ring, {m: p - c if p else -c for m, c in self._d.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)

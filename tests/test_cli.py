@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, JSON plumbing, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from permahank.cli import main
-from permahank.verify import VerificationReport
+from permahank.verify import Case, VerificationReport, alphas
 
 
 def run(capsys, *argv):
@@ -344,6 +345,52 @@ def test_verify_json_matches_recorded_digest(capsys, shape, char):
     stripped, removed = re.subn(r',\n *"millis": \d+', "", out)
     assert removed == len(json.loads(out))
     assert hashlib.sha256(stripped.encode()).hexdigest() == VERIFY_JSON_SHA256[shape]
+
+
+# sha256 of the text of `colon F --m M --n N --char C` for the five divisors
+# below, concatenated, recorded while a colon by a monomial of several
+# variables still went one variable at a time.  2x6 prints a coefficient
+# that differs between the fields.
+COLON_TEXT_SHA256 = {
+    ("2x6", 0): "2418d8100a7f9105e5e77dbcfefd7a53f3afdcd6802376dd2285d4e56e9e57e2",
+    ("2x6", 32003): "7b92d3e8c5b185a2d04fba9a2bc53645e674e0f8c71ac77b8f66cdd4b8adff6d",
+    ("3x3", 0): "a888acbef8bbd667b28e7666219c49fdcb0bc147cba6b2c7e00872e99dfdaa57",
+    ("3x3", 32003): "a888acbef8bbd667b28e7666219c49fdcb0bc147cba6b2c7e00872e99dfdaa57",
+    ("3x4", 0): "635e5379f53781643eecec618a4298e5d17b44ac8742f65be42f3f36fa91a943",
+    ("3x4", 32003): "635e5379f53781643eecec618a4298e5d17b44ac8742f65be42f3f36fa91a943",
+    ("4x4", 0): "51234559d6bb5e7065c4b3898802040b9660d52eee461669412bd7926a2a46f3",
+    ("4x4", 32003): "51234559d6bb5e7065c4b3898802040b9660d52eee461669412bd7926a2a46f3",
+}
+
+
+@pytest.mark.parametrize("shape,char", sorted(COLON_TEXT_SHA256))
+def test_colon_text_matches_recorded_digest(capsys, shape, char):
+    m, n = map(int, shape.split("x"))
+    N = m + n - 1
+    alpha = str(alphas(Case(m, n, char))[0])
+    out = ""
+    for f in ("x1*x2", f"x2*x{N}^2", f"x1^2*x3*x{N}", alpha, "1 + x1"):
+        rc, text, _ = run(capsys, "colon", f, "--m", str(m), "--n", str(n), "--char", str(char))
+        assert rc == 0
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == COLON_TEXT_SHA256[shape, char]
+
+
+def test_output_digests_script_on_2x3(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.run(["--grid", "2x3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * 11 and not any("exit" in line for line in lines)
+    digests = dict(reversed(line.split("  ", 1)) for line in lines)
+    for char in (0, 32003):
+        got = digests[f"verify --grid 2x3 --char {char} --format json"]
+        assert got == VERIFY_JSON_SHA256["2x3"]
+        # (P2 : 1 + x1) = P2, so its text is the lex basis
+        shape = f"--m 2 --n 3 --char {char}"
+        assert digests[f"colon 1 + x1 {shape}"] == digests[f"gb {shape} --order lex"]
 
 
 def run_module(*argv):

@@ -210,6 +210,9 @@ def _cmd_classify(args):
 def _cmd_verify(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.max_vars < 4:
+        # 2x3, the smallest shape, needs 4 variables: a lower budget checks nothing
+        raise ValueError(f"--max-vars must be at least 4, got {args.max_vars}")
     checks = None if args.check == "all" else [args.check]
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:

@@ -108,6 +108,16 @@ def test_verify_samples_below_one_rejected(capsys):
     assert rc == 0
 
 
+def test_verify_max_vars_below_four_rejected(capsys):
+    # below 4 variables no shape is left, so the run would pass vacuously
+    for value in ("3", "0", "-1"):
+        for fmt in ("text", "json"):
+            rc, out, err = run(capsys, "verify", "--max-vars", value, "--format", fmt)
+            assert rc == 2 and out == "" and "--max-vars" in err
+    rc, out, _ = run(capsys, "verify", "--max-vars", "4", "--check", "lemmas")
+    assert rc == 0 and out.endswith("3/3 checks passed\n")
+
+
 def test_verify_text_table(capsys):
     rc, out, _ = run(capsys, "verify", "--grid", "2x3", "--check", "decomp")
     assert rc == 0

@@ -23,9 +23,11 @@ from permahank import (
     permanent_generators,
     q1,
     q2,
+    reducer,
     rewrite_monomial_indices,
     run_all,
     run_case,
+    s_polynomial,
     verify_associated_maximal,
     verify_bound_lemma,
     verify_decomposition,
@@ -388,3 +390,91 @@ def test_verification_report_dataclass():
     rep = VerificationReport("x", 2, 3, "pass")
     assert rep.witness is None and rep.detail == "" and rep.millis == 0
     assert rep.to_dict() == {"claim": "x", "m": 2, "n": 3, "status": "pass", "millis": 0}
+
+
+def test_accessors_return_one_object_per_case():
+    case = Case(3, 4)
+    for accessor in (minimal_primes, q1, q2, embedded_j):
+        assert accessor(case) is accessor(case)
+    assert case.p2 is case.p2 and case.q1q2 is case.q1q2
+
+
+def _counting(calls, fn):
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped
+
+
+def test_reduction_lemma_reports_the_first_off_target_monomial(monkeypatch):
+    calls = []
+    # an oracle that never rewrites: x1*x3 is the first monomial off its middle (2, 2)
+    monkeypatch.setattr(
+        "permahank.verify.rewrite_monomial_indices",
+        _counting(calls, lambda m, n, idx: (1, tuple(idx))),
+    )
+    rep = verify_reduction_lemma(Case(2, 3))
+    assert rep.witness == {"kind": "oracle_off_target", "monomial": [1, 3], "got": [1, 3]}
+    assert [c[2] for c in calls] == [(1, 1), (1, 2), (1, 3)]
+
+
+def test_reduction_lemma_checks_cubics_after_quadratics(monkeypatch):
+    calls = []
+
+    def oracle(m, n, idx):
+        calls.append(idx)
+        return (1, tuple(idx)) if len(idx) == 3 else rewrite_monomial_indices(m, n, idx)
+
+    monkeypatch.setattr("permahank.verify.rewrite_monomial_indices", oracle)
+    rep = verify_reduction_lemma(Case(2, 3))
+    assert rep.witness == {"kind": "oracle_off_target", "monomial": [1, 1, 3], "got": [1, 1, 3]}
+    assert [len(c) for c in calls] == [2] * 10 + [3] * 3
+    assert calls[-3:] == [(1, 1, 1), (1, 1, 2), (1, 1, 3)]
+
+
+def test_reduction_lemma_reports_the_first_engine_disagreement(monkeypatch):
+    calls = []
+    monkeypatch.setattr("permahank.verify.reducer", lambda G: _counting(calls, lambda f: f))
+    rep = verify_reduction_lemma(Case(2, 3))
+    assert rep.witness == {
+        "kind": "engine_oracle_disagree",
+        "monomial": [1, 3],
+        "engine": "x1*x3",
+        "oracle": "-x2^2",
+    }
+    assert len(calls) == 3
+
+
+def test_membership_lemma_reports_the_first_cubic_outside(monkeypatch):
+    calls = []
+    monkeypatch.setattr("permahank.verify.reducer", lambda G: _counting(calls, lambda f: f))
+    rep = verify_membership_lemmas(Case(2, 3))
+    assert rep.witness == {"kind": "cubic_outside_ideal", "monomial": [1, 2, 4]}
+    assert rep.detail == "" and len(calls) == 1
+
+
+def test_membership_lemma_reports_the_first_quartic_outside(monkeypatch):
+    quartics = []
+
+    def cubics_only(G):
+        nf, keep = reducer(G), _counting(quartics, lambda f: f)
+        return lambda f: keep(f) if f.total_degree() == 4 else nf(f)
+
+    monkeypatch.setattr("permahank.verify.reducer", cubics_only)
+    rep = verify_membership_lemmas(Case(3, 3))
+    assert rep.witness == {"kind": "quartic_outside_ideal", "monomial": [1, 1, 3, 5]}
+    assert rep.detail == "" and len(quartics) == 1
+
+
+def test_bound_lemma_reports_the_first_unbounded_spair(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "permahank.verify.s_polynomial", _counting(calls, lambda f, g: 2 * s_polynomial(f, g))
+    )
+    rep = verify_bound_lemma(Case(2, 3))
+    assert rep.witness == {
+        "kind": "spair_not_bounded_binomial",
+        "pair": ["x1*x3 + x2^2", "x1*x4 + x2*x3"],
+        "spoly": "2*x2^2*x4 - 2*x2*x3^2",
+    }
+    assert len(calls) == 1

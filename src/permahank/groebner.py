@@ -19,8 +19,13 @@ tails shrink.  That makes S-polynomials vanish as they are formed: one is
 built from the two tails alone, so the S-polynomial of two monomials is
 zero, and most quadric entries become monomials (on 7x7 under lex, 79 of
 83, since the quadrics of P2 span all but 8 of the 91 quadratic
-monomials).  So no pair of two monomial entries is queued; its lcm still
-feeds the M-criterion and the coprime test, and the raw basis is unchanged.
+monomials).  So no pair of two monomial entries is queued, and the raw
+basis is unchanged.  While fewer than half the entries have a tail, an
+entering monomial is tested only against those, the only ones it can pair
+with (`_monomial_pairs`): one divisor scan of the earlier entries per
+candidate decides what grouping, sorting and M-testing its lcms with every
+earlier leading term would.  Otherwise, and for an entry with a tail, the
+grouped update runs, which then costs less than the scans.
 
 The pair update runs on the packed monomials directly, with the same
 guard-bit arithmetic as the support masks below: b divides a exactly when
@@ -364,6 +369,51 @@ def _minimal_lcms(lcms, lm, guard):
     return out
 
 
+def _monomial_pairs(lm, red, tailed, guard):
+    """The pairs (c, L) the Gebauer-Moeller update queues when a monomial enters.
+
+    lm is the entering monomial's leading term and red the entries before
+    it.  Only an index c in `tailed` (the entries with a tail, ascending)
+    can pair with lm, since two monomials have a zero S-polynomial.  With
+    L = lcm(lt c, lm), the grouped update (group the lcms with lm, keep the
+    minimal ones, queue each group's first index unless a member is coprime
+    to lm) queues (c, L) exactly when every entry j with lt j | L has
+    lcm(lt j, lm) == L (no smaller lcm divides L), j >= c (c leads its
+    group) and L != lt j + lm (no member is coprime).  So one divisor scan
+    of red per candidate decides, with `_nf_dict`'s arithmetic: a divisor
+    before c rules c out, and one after c must share L and not be coprime.
+    Returns the pairs by ascending c.
+    """
+    fill = guard - (guard >> 15)
+    lmg = lm | guard
+    out = []
+    for c in tailed:
+        a = red[c][0]
+        L = a ^ ((a ^ lm) & ((((lmg - a) & guard) >> 15) * _FMASK))
+        if L == a + lm:
+            continue
+        Lg = L | guard
+        zL = ((L + fill) & guard) ^ guard  # guard bits of the fields where L is 0
+        for e in islice(red, c):
+            if e[1] & zL:
+                continue
+            if (Lg - e[0]) & guard == guard:
+                break
+        else:
+            for e in islice(red, c + 1, None):
+                if e[1] & zL:
+                    continue
+                b = e[0]
+                if (Lg - b) & guard == guard and (
+                    L == b + lm
+                    or L != b ^ ((b ^ lm) & ((((lmg - b) & guard) >> 15) * _FMASK))
+                ):
+                    break
+            else:
+                out.append((c, L))
+    return out
+
+
 def buchberger(gens, order=LEX, reduce=True, use_chain=True):
     """Groebner basis of the ideal generated by gens.
 
@@ -375,7 +425,10 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
         that reduces to zero is dropped too.  Then each entry's tail is
         reduced against the entries with smaller leading terms, before any
         pair is formed.  A pair of two monomial entries is never queued:
-        its S-polynomial is zero, so the raw basis does not change.
+        its S-polynomial is zero, so the raw basis does not change.  While
+        fewer than half the entries have a tail, an entering monomial is
+        tested only against those (`_monomial_pairs`), which queues the
+        pairs the criteria below keep.
     order : MonomialOrder
         Monomial order, lex by default.
     reduce : bool
@@ -407,8 +460,11 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
     lexlike = order.is_lexlike
     guard = ring.guard
     fill = guard - (guard >> 15)
+    lcm = ring.mono_lcm
     lts = []     # packed leading monomials, for the lcm loop
     red = []     # reducer entries of the monic basis elements, parallel to lts
+    tailed = []  # indices of the entries with a tail, ascending
+    top = 0      # largest degree in lts
     pairs = []   # heap of (lcm key, i, j)
     alive = {}   # (i, j) -> packed lcm
 
@@ -420,35 +476,48 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
         return (lm, (lm + fill) & guard, 1, tail)
 
     def add_element(e):
+        nonlocal top
         lm = e[0]
         mono = not e[3]  # a monomial entry: it has no tail
         t = len(lts)
-        # lcm(lts[i], lm) as a fieldwise maximum: a field's guard bit
-        # survives (lm | guard) - a exactly where lm's exponent is >= a's.
-        lmg = lm | guard
-        lcms = []
-        for a in lts:
-            keep = (((lmg - a) & guard) >> 15) * _FMASK
-            lcms.append(a ^ ((a ^ lm) & keep))
         if use_chain:
             dead = [
                 ij for ij, L in alive.items()
                 if ((L | guard) - lm) & guard == guard
-                and L != lcms[ij[0]]
-                and L != lcms[ij[1]]
+                and L != lcm(lts[ij[0]], lm)
+                and L != lcm(lts[ij[1]], lm)
             ]
             for ij in dead:
                 del alive[ij]
-            by_lcm = {}
-            for i, L in enumerate(lcms):
-                by_lcm.setdefault(L, []).append(i)
-            # Coprime leading terms are exactly those whose lcm is their product.
-            queue = [
-                (by_lcm[L][0], L) for L in _minimal_lcms(sorted(by_lcm, key=key), lm, guard)
-                if not any(L == lts[i] + lm for i in by_lcm[L])
-            ]
+        if use_chain and mono and 2 * len(tailed) < t:
+            # A monomial pairs only with the entries that have a tail; while
+            # they are under half the entries, testing only them is cheaper
+            # than grouping every lcm.  Only queued lcms are keyed, so key
+            # every lcm when one may pass the reverse-lex key's degree range.
+            if _degree(lm) + top > _EMAX:
+                for a in lts:
+                    key(lcm(a, lm))
+            queue = _monomial_pairs(lm, red, tailed, guard)
         else:
-            queue = enumerate(lcms)
+            # lcm(lts[i], lm) as a fieldwise maximum: a field's guard bit
+            # survives (lm | guard) - a exactly where lm's exponent is >= a's.
+            lmg = lm | guard
+            lcms = []
+            for a in lts:
+                keep = (((lmg - a) & guard) >> 15) * _FMASK
+                lcms.append(a ^ ((a ^ lm) & keep))
+            if use_chain:
+                by_lcm = {}
+                for i, L in enumerate(lcms):
+                    by_lcm.setdefault(L, []).append(i)
+                # Coprime leading terms are exactly those whose lcm is their product.
+                queue = [
+                    (by_lcm[L][0], L)
+                    for L in _minimal_lcms(sorted(by_lcm, key=key), lm, guard)
+                    if not any(L == lts[i] + lm for i in by_lcm[L])
+                ]
+            else:
+                queue = enumerate(lcms)
         for i, L in queue:
             if mono and not red[i][3]:
                 continue
@@ -456,6 +525,9 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
             heappush(pairs, (key(L), i, t))
         lts.append(lm)
         red.append(e)
+        if not mono:
+            tailed.append(t)
+        top = max(top, _degree(lm))
 
     # Reduce each generator against those already entered, so duplicate
     # leading terms and redundant generators create no entries of their own;

@@ -127,7 +127,12 @@ class _RevlexOrder:
     mis-ordering.  With generators below 2**15 (checked by the caller,
     since the key's degree wraps at 2**16 - 1), Buchberger's pairs of
     elements below 2**15 have lcms below 2**16, which the key sees and
-    rejects before any polynomial of that degree is formed.
+    rejects before any polynomial of that degree is formed.  Buchberger's
+    grouped pair update keys every lcm of the entering element as it sorts
+    them.  The candidate scan of an entering monomial keys only the lcms
+    it queues, so it keys them all when the monomial's degree plus the
+    largest earlier leading-term degree passes 2**15 - 1, the only case
+    where one of them can.
     """
 
     nvars: int

@@ -28,7 +28,8 @@ from permahank import (
     s_polynomial,
 )
 from permahank import groebner
-from permahank.groebner import _minimal_lcms, _nf_dict, _prepare
+from permahank.groebner import _minimal_lcms, _monomial_pairs, _nf_dict, _prepare
+from permahank.ideal_ops import _swapper
 from permahank.ring import _RevlexOrder
 
 
@@ -459,6 +460,34 @@ def test_no_s_polynomial_of_two_monomial_entries(shape, char, name, ideal, monke
         assert (len(B), digest(B)) == REDUCED_BASES[shape, char, name, ideal]
 
 
+# S-polynomials Buchberger forms on P2 of 4x5, recorded while an entering
+# monomial's lcms were still grouped with every earlier leading term: a pair
+# selection that queues more or fewer pairs fails here even where the raw
+# basis happens to match.
+PAIRS_FORMED_4X5 = {"lex": 36, "revlex": 34}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name", sorted(PAIRS_FORMED_4X5))
+def test_pairs_formed_on_4x5(name, char, monkeypatch):
+    gens = perms(4, 5, char)
+    R = gens[0].ring
+    if name == "revlex":  # reverse-lex with x_N smallest, as colon by x_N uses
+        swap = _swapper(R, R.nvars)
+        gens = [R.poly((c, R.unpack(swap(m))) for m, c in g._d.items()) for g in gens]
+    order = entry_order(name, R.nvars)
+    formed = []
+    spoly = groebner._spoly_dict
+
+    def counted(a, b, ring):
+        formed.append(1)
+        return spoly(a, b, ring)
+
+    monkeypatch.setattr(groebner, "_spoly_dict", counted)
+    buchberger(gens, order)
+    assert len(formed) == PAIRS_FORMED_4X5[name]
+
+
 def mixed_degree_inputs(R, name):
     """f, g, h, k in three variables: lt(f) = x1 * lt(g), h = f + x3*g, and k."""
     # reverse-lex makes x1 the smallest variable, so it swaps x1 and x3
@@ -708,6 +737,43 @@ def test_minimal_lcms_agree_with_the_all_pairs_scan(name, data):
     lts = [R.pack(e) for e in data.draw(st.lists(exps, min_size=1, max_size=12))]
     lcms = sorted({R.mono_lcm(a, lm) for a in lts}, key=order.key())
     assert _minimal_lcms(lcms, lm, R.guard) == all_pairs_minimal_lcms(lcms, R.guard)
+
+
+def grouped_monomial_pairs(R, order, lm, lts, tailed):
+    """Reference for an entering monomial: the grouped Gebauer-Moeller update.
+
+    Group the lcms with lm, sort them, keep the minimal ones, take each
+    group's first index, drop a group with a member coprime to lm, and keep
+    the pairs whose entry has a tail.
+    """
+    by_lcm = {}
+    for i, a in enumerate(lts):
+        by_lcm.setdefault(R.mono_lcm(a, lm), []).append(i)
+    kept = all_pairs_minimal_lcms(sorted(by_lcm, key=order.key()), R.guard)
+    return sorted(
+        (by_lcm[L][0], L) for L in kept
+        if by_lcm[L][0] in tailed and not any(L == lts[i] + lm for i in by_lcm[L])
+    )
+
+
+@pytest.mark.parametrize("name", ["lex", "deglex", "revlex"])
+@given(data=st.data())
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_monomial_pairs_agree_with_the_grouped_update(name, data):
+    R = Ring(4)
+    order = entry_order(name, R.nvars)
+    # half the exponents zero, so coprime leading terms are common
+    exps = st.tuples(*[st.sampled_from((0, 0, 1, 3))] * R.nvars)
+    lm = R.pack(data.draw(exps))
+    pool = [R.pack(e) for e in data.draw(st.lists(exps, min_size=1, max_size=8))]
+    lts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))  # repeats
+    flags = data.draw(st.lists(st.booleans(), min_size=len(lts), max_size=len(lts)))
+    tailed = [i for i, f in enumerate(flags) if f]
+    fill = R.guard - (R.guard >> 15)
+    red = [(a, (a + fill) & R.guard, 1, ()) for a in lts]  # entries: lt and support mask
+    assert _monomial_pairs(lm, red, tailed, R.guard) == grouped_monomial_pairs(
+        R, order, lm, lts, tailed
+    )
 
 
 # -- one reducer for many polynomials: agreement with fresh normal forms -------

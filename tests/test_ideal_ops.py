@@ -339,3 +339,20 @@ def test_fast_path_degree_guard_at_2_pow_15():
         colon(over, R2.var(2))
     with pytest.raises(ValueError, match="2\\*\\*15"):
         saturate(ideal(R2, "x1^16384*x2^16384"), R2.var(1))
+
+
+def test_degree_guard_sees_a_monomial_entering_after_an_entry_with_a_tail():
+    # Under reverse-lex with x3 smallest, lt(f) = x1^d, and the monomial g
+    # enters after f.  Their leading terms are coprime, so their lcm is never
+    # queued: only the degree guard on an entering monomial's lcms sees it.
+    R3 = Ring(3)
+    g = "x2^6500*x3^6500"
+    ok = ideal(R3, "x1^19767 + x2^19767", g)  # lcm degree 32767
+    assert [str(h) for h in colon(ok, R3.var(3)).generators] == [
+        "x1^19767 + x2^19767", "x2^6500*x3^6499",
+    ]
+    # x1*x3 and x1*x2 enter between f and g, so f is the only entry with a
+    # tail that g meets, and Buchberger tests only f's pair with g
+    over = ideal(R3, "x1^19768 + x2^19768", "x1*x3", "x1*x2", g)  # lcm degree 32768
+    with pytest.raises(ValueError, match="2\\*\\*15"):
+        colon(over, R3.var(3))

@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from .ring import DEGLEX, LEX, parse
+from .ring import LEX, MonomialOrder, parse
 from .groebner import buchberger, normal_form
 from .hankel import HankelMatrix, permanent_generators
 from .ideal_ops import Ideal, colon, ideal_from_dict, intersect, polys_to_dict
@@ -39,10 +39,6 @@ from .verify import (
     default_grid,
     run_all,
 )
-
-
-def _order_of(name):
-    return DEGLEX if name == "deglex" else LEX
 
 
 def _emit(text, args):
@@ -78,14 +74,20 @@ def _load_ideal(path):
 
 
 def _source_ideal(args):
-    """Generators either from --in (JSON ideal) or from the shape flags."""
+    """(ring, order, generators) from --in (JSON ideal) or from the shape flags.
+
+    The order is --order when given, else the JSON ideal's, else lex.
+    """
     if getattr(args, "infile", None):
         if args.m is not None or args.n is not None:
             raise ValueError("give either --in or --m/--n, not both")
-        ring, _, gens = _load_ideal(args.infile)
-        return ring, gens
-    M = _shape_matrix(args)
-    return M.ring, permanent_generators(M)
+        ring, order, gens = _load_ideal(args.infile)
+    else:
+        M = _shape_matrix(args)
+        ring, order, gens = M.ring, LEX, permanent_generators(M)
+    if getattr(args, "order", None):
+        order = MonomialOrder(args.order)
+    return ring, order, gens
 
 
 def _parse_grid(text):
@@ -111,8 +113,7 @@ def _cmd_gen(args):
 
 
 def _cmd_gb(args):
-    ring, gens = _source_ideal(args)
-    order = _order_of(args.order)
+    ring, order, gens = _source_ideal(args)
     _emit_polys(args, ring, buchberger(gens, order).elements, order)
     return 0
 
@@ -125,8 +126,7 @@ def _cmd_closed_form(args):
 
 
 def _cmd_nf(args):
-    ring, gens = _source_ideal(args)
-    order = _order_of(args.order)
+    ring, order, gens = _source_ideal(args)
     f = parse(args.expr, ring)
     basis = buchberger(gens, order)
     r = normal_form(f, basis, order)
@@ -147,7 +147,7 @@ def _cmd_nf(args):
 
 
 def _cmd_colon(args):
-    ring, gens = _source_ideal(args)
+    ring, _, gens = _source_ideal(args)
     f = parse(args.expr, ring)
     _emit_polys(args, ring, colon(Ideal(ring, gens), f).reduced_basis().elements)
     return 0
@@ -275,7 +275,9 @@ def _add_io(p):
 
 def _add_order(p):
     p.add_argument(
-        "--order", choices=("lex", "deglex"), default="lex", help="monomial order"
+        "--order",
+        choices=("lex", "deglex"),
+        help="monomial order (default: the --in file's order, else lex)",
     )
 
 

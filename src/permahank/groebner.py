@@ -33,13 +33,14 @@ guard-bit arithmetic as the support masks below: b divides a exactly when
 mark the fields where a's exponent is at least b's, which gives the lcm as
 a fieldwise maximum.
 
-Every routine reads one entry per basis element, (leading monomial,
-support mask, inverse leading coefficient, tail items): `_prepare` builds
-them from polynomials, Buchberger one per new monic element.  S-polynomials
-are built from the two tails alone, shifted to the lcm and scaled by the
-inverse leading coefficients, since the leading terms cancel.
-S-polynomials and normal forms raise ValueError rather than let an
-exponent pass 2**15 - 1.
+Every routine reads one monic entry per basis element, (leading monomial,
+support mask, tail items), with the tail divided by the leading
+coefficient when `_entry` builds it: `_prepare` builds one per polynomial,
+Buchberger one per new element, and only this module reads them.  So a
+reduction step subtracts c times the tail, and an S-polynomial is the
+difference of the two tails shifted to the lcm, since the leading terms
+cancel.  S-polynomials and normal forms raise ValueError rather than let
+an exponent pass 2**15 - 1.
 
 Normal forms remember each monomial's first divisor per reducer table.
 The memo maps a monomial to the entry of its first divisor in the table,
@@ -78,18 +79,38 @@ def _common_ring(polys):
     return ring
 
 
-def _prepare(polys, ring, order):
-    """Reducer table: list of (lt, support mask, inverse lc, tail items)."""
+def _entry(d, lm, ring):
+    """The monic reducer entry (lt, support mask, tail items) of the term dict d.
+
+    lm is d's leading monomial; the tail is d without it, divided by its
+    coefficient.
+    """
     g = ring.guard
-    fill = g - (g >> 15)
+    inv = ring.inv(d[lm])
+    rest = dict(d)
+    del rest[lm]
+    if inv == 1:  # reduced bases are monic: keep their tails rather than scale them by 1
+        tail = tuple(rest.items())
+    else:
+        p = ring.char
+        tail = tuple((m, c * inv % p if p else c * inv) for m, c in rest.items())
+    return lm, (lm + g - (g >> 15)) & g, tail
+
+
+def _prepare(polys, ring, order):
+    """Reducer table: one monic entry per polynomial."""
     red = []
     for f in polys:
         if f.is_zero:
             raise ValueError("zero polynomial cannot be used as a reducer")
-        lm = f._lm_packed(order)
-        tail = tuple((m, c) for m, c in f._d.items() if m != lm)
-        red.append((lm, (lm + fill) & g, ring.inv(f._d[lm]), tail))
+        red.append(_entry(f._d, f._lm_packed(order), ring))
     return red
+
+
+def _monic_polys(red, ring):
+    """The monic polynomials of reducer entries, in their order."""
+    one = ring.coeff(1)
+    return tuple(Polynomial._raw(ring, {lt: one, **dict(tail)}) for lt, _, tail in red)
 
 
 def _nf_dict(work, red, ring, order, first):
@@ -131,10 +152,8 @@ def _nf_dict(work, red, ring, order, first):
                 out[m] = c
                 continue
             first[m] = e
-        lt, _, inv, tail = e
+        lt, _, tail = e
         q = m - lt
-        if inv != 1:
-            c = c * inv % p if p else c * inv
         for tm, tc in tail:
             k2 = tm + q
             seen |= k2
@@ -151,13 +170,42 @@ def _nf_dict(work, red, ring, order, first):
     return out
 
 
+def _exact_div(g, f):
+    """Quotient g/f when f divides g exactly; an engine bug otherwise."""
+    ring = g.ring
+    flm = max(f._d)  # the lex leading monomial
+    _, _, ftail = _entry(f._d, flm, ring)
+    finv = ring.inv(f._d[flm])
+    p = ring.char
+    work = dict(g._d)
+    out = {}
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        q = ring.mono_div(m, flm)
+        if q is None:
+            raise RuntimeError("exact division failed; this indicates an engine bug")
+        out[q] = c * finv % p if p else c * finv
+        for tm, tc in ftail:
+            k = tm + q
+            v = work.get(k)
+            v = -c * tc if v is None else v - c * tc
+            if p:
+                v %= p
+            if v:
+                work[k] = v
+            elif k in work:
+                del work[k]
+    return Polynomial._raw(ring, out)
+
+
 def _spoly_dict(a, b, ring):
-    """S-polynomial (L/lt f)*f/lc f - (L/lt g)*g/lc g of two entries, L the lcm.
+    """S-polynomial (L/lt f)*f - (L/lt g)*g of two monic entries, L the lcm.
 
     Formed from the tails alone: the leading terms cancel.
     """
-    flm, _, finv, ftail = a
-    glm, _, ginv, gtail = b
+    flm, _, ftail = a
+    glm, _, gtail = b
     lcm = ring.mono_lcm(flm, glm)
     qf = lcm - flm
     qg = lcm - glm
@@ -167,13 +215,12 @@ def _spoly_dict(a, b, ring):
     for m, c in ftail:
         k = m + qf
         seen |= k
-        d[k] = c if finv == 1 else (c * finv % p if p else c * finv)
+        d[k] = c
     for m, c in gtail:
         k = m + qg
         seen |= k
-        s = c if ginv == 1 else (c * ginv % p if p else c * ginv)
         v = d.get(k)
-        v = -s if v is None else v - s
+        v = -c if v is None else v - c
         if p:
             v %= p
         if v:
@@ -287,11 +334,6 @@ class GroebnerBasis:
         return self.contains(f)
 
 
-def _scaled(items, inv, p):
-    """(monomial, coefficient) pairs with every coefficient times inv."""
-    return [(m, v * inv % p if p else v * inv) for m, v in items]
-
-
 def _reduce_tails(red, ring, order):
     """The entries of red, in red's order, each tail reduced by the entries below.
 
@@ -306,23 +348,17 @@ def _reduce_tails(red, ring, order):
     table = []
     first = {}
     for i in sorted(range(len(red)), key=lambda i: key(red[i][0])):
-        lt, mask, inv, tail = red[i]
-        e = (lt, mask, inv, tuple(_nf_dict(dict(tail), table, ring, order, first).items()))
+        lt, mask, tail = red[i]
+        e = (lt, mask, tuple(_nf_dict(dict(tail), table, ring, order, first).items()))
         table.append(e)
         out[i] = e
     return out
 
 
 def _reduce_basis(red, ring, order):
-    """Minimalize and interreduce reducer entries; monic term dicts, LT-descending.
-
-    Normal forms are linear, so the inverse leading coefficient scales each
-    reduced tail after.
-    """
+    """Minimalize and interreduce reducer entries; returns entries, LT-descending."""
     key = order.key()
     g = ring.guard
-    p = ring.char
-    one = ring.coeff(1)
     kept = []
     kept_lts = []
     for e in sorted(red, key=lambda e: key(e[0])):
@@ -333,10 +369,7 @@ def _reduce_basis(red, ring, order):
         else:
             kept.append(e)
             kept_lts.append(e[0])
-    return [
-        {lt: one, **dict(tail if inv == 1 else _scaled(tail, inv, p))}
-        for lt, _, inv, tail in reversed(_reduce_tails(kept, ring, order))
-    ]
+    return _reduce_tails(kept, ring, order)[::-1]
 
 
 def _minimal_lcms(lcms, lm, guard):
@@ -459,7 +492,6 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
     key = order.key()
     lexlike = order.is_lexlike
     guard = ring.guard
-    fill = guard - (guard >> 15)
     lcm = ring.mono_lcm
     lts = []     # packed leading monomials, for the lcm loop
     red = []     # reducer entries of the monic basis elements, parallel to lts
@@ -469,16 +501,13 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
     alive = {}   # (i, j) -> packed lcm
 
     def entry(d):
-        """The monic reducer entry of the nonzero term dict d (consumed)."""
-        lm = max(d) if lexlike else max(d, key=key)
-        c = d.pop(lm)
-        tail = tuple(d.items() if c == 1 else _scaled(d.items(), ring.inv(c), ring.char))
-        return (lm, (lm + fill) & guard, 1, tail)
+        """The monic reducer entry of the nonzero term dict d."""
+        return _entry(d, max(d) if lexlike else max(d, key=key), ring)
 
     def add_element(e):
         nonlocal top
         lm = e[0]
-        mono = not e[3]  # a monomial entry: it has no tail
+        mono = not e[2]  # a monomial entry: it has no tail
         t = len(lts)
         if use_chain:
             dead = [
@@ -519,7 +548,7 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
             else:
                 queue = enumerate(lcms)
         for i, L in queue:
-            if mono and not red[i][3]:
+            if mono and not red[i][2]:
                 continue
             alive[(i, t)] = L
             heappush(pairs, (key(L), i, t))
@@ -563,12 +592,8 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
             add_element(e)
 
     if not reduce:
-        one = ring.coeff(1)
-        elems = [Polynomial._raw(ring, {lt: one, **dict(tail)}) for lt, _, _, tail in red]
-        return GroebnerBasis(tuple(elems), order, False, False)
-    final = _reduce_basis(red, ring, order)
-    elems = [Polynomial._raw(ring, d) for d in final]
-    return GroebnerBasis(tuple(elems), order, True, True)
+        return GroebnerBasis(_monic_polys(red, ring), order, False, False)
+    return GroebnerBasis(_monic_polys(_reduce_basis(red, ring, order), ring), order, True, True)
 
 
 def inter_reduce(polys, order=LEX):
@@ -584,8 +609,7 @@ def inter_reduce(polys, order=LEX):
     ring = _common_ring(polys)
     if any(f.is_zero for f in polys):
         raise ValueError("cannot interreduce the zero polynomial")
-    red = _prepare(polys, ring, order)
-    return tuple(Polynomial._raw(ring, d) for d in _reduce_basis(red, ring, order))
+    return _monic_polys(_reduce_basis(_prepare(polys, ring, order), ring, order), ring)
 
 
 def is_groebner(G, order=None):

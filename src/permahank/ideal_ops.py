@@ -28,9 +28,10 @@ from __future__ import annotations
 import os
 
 from .ring import (
-    LEX, Polynomial, _BITS, _EMAX, _FMASK, _RevlexOrder, _degree, extend, lift, restrict,
+    LEX, MonomialOrder, Polynomial, Ring, _BITS, _EMAX, _FMASK, _RevlexOrder, _degree,
+    extend, lift, parse, restrict,
 )
-from .groebner import GroebnerBasis, _prepare, buchberger, reducer
+from .groebner import GroebnerBasis, _exact_div, buchberger, reducer
 
 DEFAULT_SATURATION_CAP = 64
 
@@ -138,34 +139,6 @@ def intersect(I, J):
     elems = [restrict(e, ring) for e in basis if max(e._d) < bound]
     found = GroebnerBasis(tuple(elems), LEX, True, True)
     return Ideal(ring, elems, _basis=found)
-
-
-def _exact_div(g, f):
-    """Quotient g/f when f divides g exactly; an engine bug otherwise."""
-    ring = g.ring
-    flm, _, finv, ftail = _prepare((f,), ring, LEX)[0]
-    p = ring.char
-    work = dict(g._d)
-    out = {}
-    while work:
-        m = max(work)
-        c = work.pop(m)
-        q = ring.mono_div(m, flm)
-        if q is None:
-            raise RuntimeError("exact division failed; this indicates an engine bug")
-        qc = c * finv % p if p else c * finv
-        out[q] = qc
-        for tm, tc in ftail:
-            k = tm + q
-            v = work.get(k)
-            v = -qc * tc if v is None else v - qc * tc
-            if p:
-                v %= p
-            if v:
-                work[k] = v
-            elif k in work:
-                del work[k]
-    return Polynomial._raw(ring, out)
 
 
 def _check_divisor(I, f):
@@ -394,8 +367,6 @@ def polys_to_dict(ring, polys, order=LEX, extra=None):
 
 def ideal_from_dict(d):
     """Parse {"vars", "char", "order", "generators"} into (ring, order, polys)."""
-    from .ring import DEGLEX, Ring, parse
-
     try:
         nvars = d["vars"]
         char = d.get("char", 0)
@@ -407,12 +378,7 @@ def ideal_from_dict(d):
         raise ValueError("'vars' must be a positive integer")
     if not isinstance(char, int):
         raise ValueError("'char' must be an integer")
-    if order_name == "lex":
-        order = LEX
-    elif order_name == "deglex":
-        order = DEGLEX
-    else:
-        raise ValueError(f"unknown order {order_name!r}")
+    order = MonomialOrder(order_name)
     if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
         raise ValueError("'generators' must be a list of strings")
     ring = Ring(nvars, char)

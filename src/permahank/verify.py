@@ -32,7 +32,7 @@ from itertools import (
     product as iproduct,
 )
 
-from .ring import _BITS, _FMASK, LEX, Polynomial
+from .ring import LEX
 from .groebner import (
     inter_reduce,
     is_groebner,
@@ -62,13 +62,8 @@ class ShapeClass(Enum):
 
 
 def _reverse_indices(f, k):
-    """f under x_i -> x_(k+1-i) for i <= k, moving the fields of its packed monomials."""
-    low = (f.ring.nvars - k) * _BITS  # the fields of x_(k+1)..x_n stay
-    moves = [(low + j * _BITS, low + (k - 1 - j) * _BITS) for j in range(k)]
-    return Polynomial._raw(f.ring, {
-        sum(((m >> a) & _FMASK) << b for a, b in moves) | m & ((1 << low) - 1): c
-        for m, c in f._d.items()
-    })
+    """f under x_i -> x_(k+1-i) for i <= k; x_(k+1)..x_n stay."""
+    return f.ring.poly((c, e[k - 1::-1] + e[k:]) for c, e in f.terms())
 
 
 class Case:
@@ -79,10 +74,8 @@ class Case:
     """
 
     def __init__(self, m, n, char=0):
-        if m > n:
-            m, n = n, m
-        if m < 2:
-            raise ValueError("need at least two rows and two columns")
+        self.matrix = HankelMatrix(m, n, char)
+        m, n = self.matrix.shape
         if m + n <= 4:
             raise ValueError("the 2x2 permanental ideal is prime; nothing to verify")
         self.m = m
@@ -90,7 +83,6 @@ class Case:
         self.char = char
         self.nvars = m + n - 1
         self.r = m + n - 2
-        self.matrix = HankelMatrix(m, n, char)
         self.ring = self.matrix.ring
 
     def __repr__(self):

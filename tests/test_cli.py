@@ -234,6 +234,36 @@ def test_gb_deglex(capsys):
     ]
 
 
+def test_in_takes_the_file_order_unless_order_is_given(tmp_path, capsys):
+    doc = tmp_path / "i.json"
+    ideal = {"vars": 2, "generators": ["x1 - x2^2"]}
+    doc.write_text(json.dumps({**ideal, "order": "deglex"}))
+    assert run(capsys, "gb", "--in", str(doc)) == (0, "x2^2 - x1\n", "")
+    assert run(capsys, "nf", "x2^2", "--in", str(doc)) == (0, "x1\n", "")
+    for argv in (["gb"], ["nf", "x2^2"]):
+        rc, out, _ = run(capsys, *argv, "--in", str(doc), "--format", "json")
+        assert rc == 0 and json.loads(out)["order"] == "deglex"
+    # an explicit --order wins over the file's
+    assert run(capsys, "gb", "--in", str(doc), "--order", "lex") == (0, "x1 - x2^2\n", "")
+    assert run(capsys, "nf", "x2^2", "--in", str(doc), "--order", "lex") == (0, "x2^2\n", "")
+    # a file without "order" is lex
+    doc.write_text(json.dumps(ideal))
+    assert run(capsys, "gb", "--in", str(doc)) == (0, "x1 - x2^2\n", "")
+    assert run(capsys, "nf", "x2^2", "--in", str(doc)) == (0, "x2^2\n", "")
+    assert run(capsys, "gb", "--in", str(doc), "--order", "deglex") == (0, "x2^2 - x1\n", "")
+
+
+def test_unknown_order_is_a_usage_error(tmp_path, capsys):
+    doc = tmp_path / "i.json"
+    doc.write_text(json.dumps({"vars": 2, "order": "revlex", "generators": ["x1"]}))
+    for argv in (["gb"], ["nf", "x1"], ["gb", "--order", "lex"]):
+        rc, out, err = run(capsys, *argv, "--in", str(doc))
+        assert rc == 2 and out == "" and "unknown monomial order 'revlex'" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["gb", "--m", "2", "--n", "3", "--order", "revlex"])
+    assert exc.value.code == 2
+
+
 def test_colon_command(capsys):
     rc, out, _ = run(capsys, "colon", "x4^2", "--m", "2", "--n", "3")
     assert rc == 0

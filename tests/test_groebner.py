@@ -7,6 +7,7 @@ by hand against the closed forms; they are frozen as string literals.
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from permahank import (
     s_polynomial,
 )
 from permahank import groebner
-from permahank.groebner import _minimal_lcms, _monomial_pairs, _nf_dict, _prepare
+from permahank.groebner import _exact_div, _minimal_lcms, _monomial_pairs, _nf_dict, _prepare
 from permahank.ideal_ops import _swapper
 from permahank.ring import _RevlexOrder
 
@@ -448,7 +449,7 @@ def test_no_s_polynomial_of_two_monomial_entries(shape, char, name, ideal, monke
     spoly = groebner._spoly_dict
 
     def counted(a, b, ring):
-        formed.append(bool(a[3] or b[3]))
+        formed.append(bool(a[2] or b[2]))
         return spoly(a, b, ring)
 
     monkeypatch.setattr(groebner, "_spoly_dict", counted)
@@ -606,6 +607,25 @@ def test_is_groebner_witness_of_non_monic_input(char):
     assert rest == normal_form(s_polynomial(f, g), G)
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("order", [LEX, DEGLEX], ids=["lex", "deglex"])
+def test_normal_forms_against_a_rescaled_reduced_basis(char, order):
+    B = buchberger(perms(3, 4, char), order)
+    R = B[0].ring
+    a, b = non_monic_scales(char)
+    scaled = [(a, b, -1)[i % 3] * g for i, g in enumerate(B)]
+    assert any(g.leading_coefficient(order) != 1 for g in scaled)
+    monomials = [
+        R.monomial([idx.count(i) for i in range(R.nvars)])
+        for d in (2, 3) for idx in combinations_with_replacement(range(R.nvars), d)
+    ]
+    targets = monomials + [a * u - b * v + 1 for u, v in zip(monomials, monomials[7:])]
+    nf, nf_scaled = reducer(B), reducer(scaled, order)
+    got = [nf_scaled(f) for f in targets]
+    assert got == [nf(f) for f in targets]
+    assert any(r.is_zero for r in got) and not all(r.is_zero for r in got)
+
+
 # -- the divisor memo: agreement with the linear scan it replaced -------------
 
 
@@ -618,12 +638,11 @@ def linear_scan_nf(work, red, ring, order):
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        for lt, _, inv, tail in red:
+        for lt, _, tail in red:
             if ((m | g) - lt) & g == g:
-                f = c * inv
                 for tm, tc in tail:
                     k = tm + m - lt
-                    v = work.get(k, 0) - f * tc
+                    v = work.get(k, 0) - c * tc
                     v = v % p if p else v
                     if v:
                         work[k] = v
@@ -662,6 +681,17 @@ def test_divisor_memo_agrees_with_the_linear_scan(ring, name, data):
             # the memo only ever names a divisor or a scanned prefix
             for m, e in first.items():
                 assert isinstance(e, int) and e <= len(red) or e in red
+
+
+@pytest.mark.parametrize("ring", [Ring(3), Ring(3, 32003)], ids=["q3", "gfp3"])
+@given(data=st.data())
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_exact_div_by_a_non_monic_divisor(ring, data):
+    f, h = data.draw(memo_polys(ring, 2))
+    c = ring.coeff(data.draw(st.sampled_from((3, -2, Fraction(2, 3)))))
+    f = c * ring.inv(f.leading_coefficient()) * f
+    assert f.leading_coefficient() == c != 1
+    assert _exact_div(f * h, f) == h
 
 
 def digest(polys):
@@ -770,7 +800,7 @@ def test_monomial_pairs_agree_with_the_grouped_update(name, data):
     flags = data.draw(st.lists(st.booleans(), min_size=len(lts), max_size=len(lts)))
     tailed = [i for i, f in enumerate(flags) if f]
     fill = R.guard - (R.guard >> 15)
-    red = [(a, (a + fill) & R.guard, 1, ()) for a in lts]  # entries: lt and support mask
+    red = [(a, (a + fill) & R.guard, ()) for a in lts]  # entries: lt and support mask
     assert _monomial_pairs(lm, red, tailed, R.guard) == grouped_monomial_pairs(
         R, order, lm, lts, tailed
     )

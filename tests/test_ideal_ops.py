@@ -1,5 +1,7 @@
 """Ideal arithmetic: intersection, quotient, saturation, radical membership."""
 
+from fractions import Fraction
+
 import pytest
 
 from permahank import (
@@ -275,6 +277,20 @@ def test_colon_fast_path_matches_reference(char):
                     S, s = saturate(P, f)
                     ref, s_ref = _saturate_by_colons(P, f, DEFAULT_SATURATION_CAP)
                     assert (lex_strs(S), s) == (lex_strs(ref), s_ref), (m, n, k, e)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_colon_by_a_scalar_multiple(char):
+    P = Ideal(Ring(6, char), permanent_generators(HankelMatrix(3, 4, char)))
+    x1, x2, x3 = (P.ring.var(i) for i in (1, 2, 3))
+    for f in (1 + x1, x1 * x2 + x3):
+        want = colon(P, f)
+        for c in (3, -2, Fraction(2, 3)):
+            c = P.ring.coeff(c)
+            got = colon(P, c * f)
+            assert lex_strs(got) == lex_strs(want)
+            # the same intersection, each generator divided by c*f instead of f
+            assert [c * g for g in got.generators] == list(want.generators)
 
 
 def test_fast_path_only_for_homogeneous_ideal_and_variable_power(P2, R, monkeypatch):

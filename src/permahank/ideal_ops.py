@@ -150,6 +150,11 @@ def _check_divisor(I, f):
         raise ValueError("colon by zero is undefined")
 
 
+def _has_homogeneous_generators(I):
+    """Whether every generator of I is homogeneous."""
+    return all(len({_degree(t) for t in g._d}) == 1 for g in I.generators)
+
+
 def _variable_power(I, f):
     """(k, e) when f = c * x_k^e, e >= 1, and I has homogeneous generators.
 
@@ -159,7 +164,7 @@ def _variable_power(I, f):
         return None
     (m,) = f._d
     k = I.ring.support(m)
-    if len(k) != 1 or any(len({_degree(t) for t in g._d}) != 1 for g in I.generators):
+    if len(k) != 1 or not _has_homogeneous_generators(I):
         return None
     return k[0], _degree(m)
 

@@ -42,6 +42,7 @@ from .groebner import (
 )
 from .ideal_ops import (
     Ideal,
+    _has_homogeneous_generators,
     colon,
     equal,
     intersect,
@@ -305,15 +306,67 @@ def _set_mismatch(kind, got, want):
     return {"kind": kind, "extra": sorted(got - want), "missing": sorted(want - got)}
 
 
+def _minimal_subset(polys):
+    """(G', rest): the polys whose lex leading term no other's divides, and the others.
+
+    Of polys sharing a leading term, G' keeps the first.  Both lists keep
+    the input order.
+    """
+    ring = polys[0].ring
+    lts = [g._lm_packed(LEX) for g in polys]
+    kept = []  # minimal leading terms found so far, ascending
+    keep = set()
+    # a divisor of a leading term comes no later under the order, so the
+    # minimal ones before it decide
+    for i in sorted(range(len(polys)), key=lts.__getitem__):
+        if all(ring.mono_div(lts[i], k) is None for k in kept):
+            kept.append(lts[i])
+            keep.add(i)
+    minimal = [g for i, g in enumerate(polys) if i in keep]
+    rest = [g for i, g in enumerate(polys) if i not in keep]
+    return minimal, rest
+
+
+def _basis_failure(G):
+    """None when the polys G form a Groebner basis, else a failure record.
+
+    G is checked through its minimal subset G' (see `_minimal_subset`),
+    whose leading terms generate the same monomial ideal as G's: G is a
+    Groebner basis exactly when G' passes the Buchberger criterion, every
+    pair included, and every element of G minus G' reduces to zero modulo
+    G'.  If both hold, G' is a Groebner basis of (G') and G lies in (G'),
+    so (G) = (G') and in((G)) = <lt G'> = <lt G>.  Conversely, if G is a
+    Groebner basis, in((G')) lies between <lt G'> and in((G)) = <lt G>,
+    which equals <lt G'>; so G' is a Groebner basis of (G'), and
+    (G') = (G), since one contains the other and both have the same
+    initial ideal.  Then both conditions hold.
+
+    A failing pair of G' gives `buchberger_criterion_fails`.  A nonzero
+    remainder gives `nonminimal_element_not_reduced`: it is a nonzero
+    element of (G) with no term divisible by a leading term of G.
+    """
+    minimal, rest = _minimal_subset(G)
+    ok, wit = is_groebner(minimal)
+    if not ok:
+        f, g, r = wit
+        return {"kind": "buchberger_criterion_fails", "pair": [str(f), str(g)], "remainder": str(r)}
+    nf = reducer(minimal)
+    for g in rest:
+        r = nf(g)
+        if not r.is_zero:
+            return {"kind": "nonminimal_element_not_reduced", "element": str(g), "remainder": str(r)}
+    return None
+
+
 def verify_gb(case):
     """Check the closed-form basis claim for the case's shape.
 
-    Four sub-checks: every closed-form element lies in P2; the set
-    satisfies the Buchberger criterion (coprime pairs included); it
-    generates exactly P2; and its interreduction equals the engine's
-    reduced basis.  Shapes whose printed set is genuinely reduced ((2,3)
-    and (3,3)) must additionally match the reduced basis verbatim; for
-    the others the literal comparison is recorded in the detail field.
+    Four sub-checks: every closed-form element lies in P2; the set is a
+    Groebner basis (`_basis_failure`); it generates exactly P2; and its
+    interreduction equals the engine's reduced basis.  Shapes whose
+    printed set is genuinely reduced ((2,3) and (3,3)) must additionally
+    match the reduced basis verbatim; for the others the literal
+    comparison is recorded in the detail field.
     """
     t0 = time.perf_counter()
     claim = f"gb.{case.shape_class.value}"
@@ -326,16 +379,9 @@ def verify_gb(case):
         if not nf_p2(g).is_zero:
             failures.append({"kind": "element_outside_ideal", "element": str(g)})
             break
-    ok, wit = is_groebner(cf)
-    if not ok:
-        f, g, r = wit
-        failures.append(
-            {
-                "kind": "buchberger_criterion_fails",
-                "pair": [str(f), str(g)],
-                "remainder": str(r),
-            }
-        )
+    failure = _basis_failure(cf)
+    if failure is not None:
+        failures.append(failure)
     if not failures:
         nf_cf = reducer(cf)
         for g in case.p2.generators:
@@ -434,17 +480,13 @@ def decomposition_summary(case):
     }
 
 
-def verify_primary_properties(case, samples=1):
-    """Primary-component battery for (Q1, Q2, J) against their primes.
+def _colon_witnesses(case, samples=1):
+    """Per component, (label, Q, P, variables, affine): the witnesses y outside P.
 
-    For each pair (Q, P): every generator of P lies in rad(Q), Q sits
-    inside P (so rad(Q) = P), and (Q : y) = Q for witnesses y outside P:
-    each variable not in P, the affine form 1 + x_min(P), and samples - 1
-    seeded random affine forms with nonzero constant term.
+    variables are the variables not in P.  affine holds 1 + x_min(P) and
+    samples - 1 random affine forms with nonzero constant term, drawn in
+    component order from one generator seeded by the case.
     """
-    t0 = time.perf_counter()
-    claim = "primary.components"
-    failures = []
     P1, P2prime = minimal_primes(case)
     comps = [
         ("q1", q1(case), P1),
@@ -453,7 +495,56 @@ def verify_primary_properties(case, samples=1):
     ]
     rng = random.Random(1000003 * case.m + 1009 * case.n + case.char)
     nvars = case.nvars
+    out = []
     for label, Q, P in comps:
+        pvars = set()
+        for v in P.generators:
+            pvars.update(case.ring.support(v._lm_packed(LEX)))
+        variables = [case.x(k) for k in sorted(set(range(1, nvars + 1)) - pvars)]
+        affine = [1 + case.x(min(pvars))]
+        for _ in range(max(0, samples - 1)):
+            terms = [(rng.randrange(1, 3), (0,) * nvars)]
+            for k in range(nvars):
+                c = rng.randrange(-2, 3)
+                if c:
+                    terms.append((c, tuple(1 if t == k else 0 for t in range(nvars))))
+            affine.append(case.ring.poly(terms))
+        out.append((label, Q, P, variables, affine))
+    return out
+
+
+def verify_primary_properties(case, samples=1):
+    """Primary-component battery for (Q1, Q2, J) against their primes.
+
+    For each pair (Q, P): every generator of P lies in rad(Q), Q sits
+    inside P (so rad(Q) = P), and (Q : y) = Q for each variable y not in
+    P.  Every P here is generated by all the variables but one, or by all
+    of them.  When Q has homogeneous generators this proves Q P-primary:
+
+    * Affine forms are never zero divisors mod Q.  Let y have nonzero
+      constant term c and suppose y*h lies in Q with h outside Q.  Drop
+      from h its homogeneous parts that lie in Q, and let h_d be the
+      lowest part left.  The degree-d part of y*h is then c*h_d, and it
+      lies in Q, since Q is homogeneous.  So h_d lies in Q, which is a
+      contradiction.  Hence (Q : y) = Q.
+    * Q1 and Q2.  P is generated by every variable but x_k.  The
+      associated primes of a homogeneous Q are homogeneous (Eisenbud,
+      Commutative Algebra, 3.5), and each contains rad(Q) = P, so each is
+      P or the maximal ideal.  The maximal ideal is associated exactly
+      when x_k is a zero divisor mod Q, that is when (Q : x_k) != Q.  So
+      rad(Q) = P together with (Q : x_k) = Q proves Q P-primary.
+    * J.  rad(J) is the maximal ideal, so J is primary
+      (Atiyah-Macdonald, Prop. 4.2), and no variable lies outside it.
+
+    So a homogeneous component skips the affine witnesses: 1 + x_min(P)
+    and samples - 1 seeded random affine forms with nonzero constant
+    term, whose colons return Q by the first point.  A component with an
+    inhomogeneous generator keeps them, as the reference path.
+    """
+    t0 = time.perf_counter()
+    claim = "primary.components"
+    failures = []
+    for label, Q, P, variables, affine in _colon_witnesses(case, samples):
         nf_p = reducer(P.reduced_basis())
         for v in P.generators:
             if not radical_member(v, Q):
@@ -467,18 +558,7 @@ def verify_primary_properties(case, samples=1):
                     {"kind": "component_outside_prime", "component": label, "generator": str(gq)}
                 )
                 break
-        pvars = set()
-        for v in P.generators:
-            pvars.update(case.ring.support(v._lm_packed(LEX)))
-        ys = [case.x(k) for k in sorted(set(range(1, nvars + 1)) - pvars)]
-        ys.append(1 + case.x(min(pvars)))
-        for _ in range(max(0, samples - 1)):
-            terms = [(rng.randrange(1, 3), (0,) * nvars)]
-            for k in range(nvars):
-                c = rng.randrange(-2, 3)
-                if c:
-                    terms.append((c, tuple(1 if t == k else 0 for t in range(nvars))))
-            ys.append(case.ring.poly(terms))
+        ys = variables if _has_homogeneous_generators(Q) else variables + affine
         for y in ys:
             assert not nf_p(y).is_zero, "witness accidentally inside the prime"
             if not equal(colon(Q, y), Q):

@@ -1,5 +1,7 @@
 """The verification suite itself: closed forms, components, oracles, reports."""
 
+import random
+
 import pytest
 
 from permahank import (
@@ -17,6 +19,7 @@ from permahank import (
     equal,
     inter_reduce,
     intersect,
+    is_groebner,
     minimal_primes,
     normal_form,
     parse,
@@ -36,7 +39,14 @@ from permahank import (
     verify_primary_properties,
     verify_reduction_lemma,
 )
-from permahank.verify import VerificationReport, _report
+from permahank.ideal_ops import _has_homogeneous_generators
+from permahank.verify import (
+    VerificationReport,
+    _basis_failure,
+    _colon_witnesses,
+    _minimal_subset,
+    _report,
+)
 
 
 def test_case_validation():
@@ -478,3 +488,121 @@ def test_bound_lemma_reports_the_first_unbounded_spair(monkeypatch):
         "spoly": "2*x2^2*x4 - 2*x2*x3^2",
     }
     assert len(calls) == 1
+
+
+# -- primary components: affine colons only on inhomogeneous components ----------
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_skipped_affine_colons_return_the_component(char):
+    for m, n in default_grid():
+        for label, Q, P, variables, affine in _colon_witnesses(Case(m, n, char)):
+            assert _has_homogeneous_generators(Q), (m, n, label)
+            for y in affine:
+                assert equal(colon(Q, y), Q), (m, n, label, str(y))
+
+
+def test_inhomogeneous_component_goes_through_colon(monkeypatch):
+    case = Case(2, 3, 32003)
+    calls = []
+    monkeypatch.setattr("permahank.verify.colon", _counting(calls, colon))
+    assert verify_primary_properties(case, samples=3).passed
+    # homogeneous: only the variable outside each prime; J has none
+    assert [str(y) for _, y in calls] == ["x4", "x1"]
+    calls.clear()
+    Q = q1(case)
+    g = Q.generators[0]
+    same = Ideal(case.ring, Q.generators + (g + case.x(1) * g,))  # Q again, inhomogeneous generators
+    monkeypatch.setattr("permahank.verify.q1", lambda c: same)
+    assert verify_primary_properties(case, samples=3).passed
+    (_, _, _, _, affine), *_ = _colon_witnesses(case, samples=3)
+    assert [str(y) for _, y in calls] == ["x4", "x1 + 1"] + [str(y) for y in affine[1:]] + ["x1"]
+    assert len(affine) == 3
+
+
+def test_non_primary_homogeneous_component_fails(monkeypatch):
+    # (x3^2, x3*x4) with P = (x3), widened by x1, x2 to the prime (x1, x2, x3) of 2x3:
+    # its radical is the prime, yet x4 is a zero divisor
+    case = Case(2, 3)
+    x = case.x
+    Q = Ideal(case.ring, [x(1), x(2), x(3) ** 2, x(3) * x(4)])
+    monkeypatch.setattr("permahank.verify.q1", lambda c: Q)
+    rep = verify_primary_properties(case)
+    assert rep.witness == {"kind": "colon_moves_component", "component": "q1", "y": "x4"}
+
+
+# -- gb: the Buchberger criterion on the minimal subset -----------------------------
+
+
+def test_minimal_subset_keeps_the_first_of_each_minimal_leading_term():
+    ring = Case(2, 3).ring
+    polys = [parse(t, ring) for t in ("x1*x2 + x3^2", "x1*x2", "x1 + x3", "x1", "x2^2", "x2^2*x3")]
+    minimal, rest = _minimal_subset(polys)
+    assert [str(g) for g in minimal] == ["x1 + x3", "x2^2"]
+    assert [str(g) for g in rest] == ["x1*x2 + x3^2", "x1*x2", "x1", "x2^2*x3"]
+    sizes = {s: len(_minimal_subset(closed_form_gb(Case(*s)))[0]) for s in [(3, 4), (4, 5)]}
+    assert sizes == {(3, 4): 16, (4, 5): 32}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_basis_failure_agrees_with_all_pairs_on_the_grid(char):
+    for m, n in default_grid():
+        cf = closed_form_gb(Case(m, n, char))
+        assert _basis_failure(cf) is None
+        assert is_groebner(cf) == (True, None)
+
+
+def _mutants(case, per_kind=4):
+    """Closed forms with one element dropped, perturbed or squared, from a seeded draw."""
+    cf = closed_form_gb(case)
+    rng = random.Random(100 * case.m + case.n + case.char)
+    for kind in ("drop", "perturb", "square"):
+        for i in sorted(rng.sample(range(len(cf)), per_kind)):
+            g = cf[i]
+            if kind == "drop":
+                new = []
+            elif kind == "perturb":
+                new = [g + case.x(rng.randrange(1, case.nvars + 1)) ** g.total_degree()]
+            else:
+                new = [g * g]
+            yield cf[:i] + new + cf[i + 1:]
+
+
+def test_basis_failure_agrees_with_all_pairs_on_mutants():
+    outcomes = []
+    for char in (0, 32003):
+        for m, n in [(2, 5), (3, 4), (4, 5), (3, 7)]:
+            for mutant in _mutants(Case(m, n, char)):
+                ok = is_groebner(mutant)[0]
+                assert (_basis_failure(mutant) is None) == ok, (m, n, char)
+                outcomes.append(ok)
+    assert len(outcomes) == 96 and 0 < outcomes.count(False) < 96
+
+
+def test_gb_reports_a_failing_pair(monkeypatch):
+    case = Case(2, 4)
+    cf = [g for g in closed_form_gb(case) if str(g) != "x2^4"]
+    monkeypatch.setattr("permahank.verify.closed_form_gb", lambda c: cf)
+    assert verify_gb(case).witness == {
+        "kind": "buchberger_criterion_fails",
+        "pair": ["x1*x3 + x2^2", "x2^2*x3"],
+        "remainder": "x2^4",
+    }
+
+
+def test_gb_reports_a_nonminimal_element_with_a_remainder(monkeypatch):
+    case = Case(2, 4)
+    x = case.x
+    extra = x(1) * x(3) * x(5) + x(5) ** 5  # lt divisible by lt(x1*x3 + x2^2)
+    cf = closed_form_gb(case) + [extra]
+    monkeypatch.setattr("permahank.verify.closed_form_gb", lambda c: cf)
+    assert verify_gb(case).witness == {
+        "failures": [
+            {"kind": "element_outside_ideal", "element": "x1*x3*x5 + x5^5"},
+            {
+                "kind": "nonminimal_element_not_reduced",
+                "element": "x1*x3*x5 + x5^5",
+                "remainder": "x5^5",
+            },
+        ]
+    }

@@ -235,10 +235,24 @@ def _spoly_dict(a, b, ring):
 
 def s_polynomial(f, g, order=LEX):
     """S-polynomial of two nonzero polynomials under the given order."""
-    ring = _common_ring((f, g))
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of the zero polynomial is undefined")
-    return Polynomial._raw(ring, _spoly_dict(*_prepare((f, g), ring, order), ring))
+    return s_polynomials((f, g), order)(0, 1)
+
+
+def s_polynomials(G, order=LEX):
+    """The map (i, j) -> s_polynomial(G[i], G[j], order), for many pairs of G.
+
+    Builds the reducer table of the nonzero polynomials G once, so the
+    S-polynomials of many pairs of one list cost one table.
+    """
+    ring = _common_ring(G)
+    red = _prepare(G, ring, order)
+
+    def spoly(i, j):
+        return Polynomial._raw(ring, _spoly_dict(red[i], red[j], ring))
+
+    return spoly
 
 
 def _basis_and_order(G, order):

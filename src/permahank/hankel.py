@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
-from .ring import Ring
+from .ring import _BITS, Polynomial, Ring
 from .ideal_ops import Ideal
 
 
@@ -81,6 +82,7 @@ def subpermanents_ideal(M, r):
     return Ideal(M.ring, gens)
 
 
+@lru_cache(maxsize=None)
 def permanent_index_triples(m, n):
     """Canonical (i, s, t) enumeration of the distinct 2x2 permanents.
 
@@ -89,25 +91,36 @@ def permanent_index_triples(m, n):
     s and t repeats the polynomial, so s <= t is kept; the admissible
     triples are s <= m-1, t <= n-1, i+s+t <= m+n-1, listed in ascending
     (i, s, t) order.  The reducer order used throughout the verification
-    suite is exactly this enumeration.
+    suite is exactly this enumeration.  Built once per shape: the tuple is
+    cached.
     """
     if m > n:
-        m, n = n, m
+        return permanent_index_triples(n, m)
     last = m + n - 1
-    out = []
-    for i in range(1, last - 1):
-        for s in range(1, m):
-            for t in range(s, n):
-                if i + s + t <= last:
-                    out.append((i, s, t))
-    return out
+    return tuple(
+        (i, s, t)
+        for i in range(1, last - 1)
+        for s in range(1, m)
+        for t in range(s, n)
+        if i + s + t <= last
+    )
 
 
 def permanent_generators(M):
-    """The distinct 2x2 permanents of M in canonical (i, s, t) order."""
-    x = M.ring.var
+    """The distinct 2x2 permanents of M in canonical (i, s, t) order.
+
+    Each is built as its two packed monomials x_i*x_(i+s+t) and
+    x_(i+s)*x_(i+t), both with coefficient 1, the terms in that order.
+    """
+    ring = M.ring
+    one = ring.coeff(1)
+    top = ring.nvars
+
+    def x(i):  # the packed monomial x_i
+        return 1 << ((top - i) * _BITS)
+
     return [
-        x(i) * x(i + s + t) + x(i + s) * x(i + t)
+        Polynomial._raw(ring, {x(i) + x(i + s + t): one, x(i + s) + x(i + t): one})
         for i, s, t in permanent_index_triples(M.m, M.n)
     ]
 

@@ -24,21 +24,16 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import (
-    combinations,
-    combinations_with_replacement,
-    permutations,
-    product as iproduct,
-)
+from functools import cached_property, lru_cache
+from itertools import combinations, combinations_with_replacement
 
-from .ring import LEX
+from .ring import _BITS, _FMASK, LEX, Polynomial
 from .groebner import (
     inter_reduce,
     is_groebner,
     normal_form,  # unused here, but perfbench's tracer wraps verify.normal_form
     reducer,
-    s_polynomial,
+    s_polynomials,
 )
 from .ideal_ops import (
     Ideal,
@@ -227,6 +222,15 @@ def alphas(case):
     return None
 
 
+@lru_cache(maxsize=None)
+def _first_triples(m, n):
+    """{(i, i+s+t): (i, s, t)}, the first canonical triple of each leading index pair."""
+    out = {}
+    for i, s, t in permanent_index_triples(m, n):
+        out.setdefault((i, i + s + t), (i, s, t))
+    return out
+
+
 def rewrite_monomial_indices(m, n, indices):
     """Iterate the first-match rewrite rule on a monomial's variable indices.
 
@@ -237,20 +241,19 @@ def rewrite_monomial_indices(m, n, indices):
     normal-form computation is a single signed monomial, this mirrors
     reduction against the permanent generators exactly, while being pure
     index bookkeeping independent of the polynomial engine.
+
+    The enumeration ascends as tuples, so its first triple whose pair lies
+    in the multiset is the least, over the multiset's index pairs, of the
+    first triple with that pair (`_first_triples`, built once per shape).
     """
-    triples = permanent_index_triples(m, n)
+    first = _first_triples(m, n)
     state = sorted(indices)
     sign = 1
     while True:
-        hit = None
-        for i, s, t in triples:
-            j = i + s + t
-            if i in state and j in state:
-                hit = (i, s, t)
-                break
-        if hit is None:
+        hits = [first[ij] for ij in combinations(state, 2) if ij in first]
+        if not hits:
             return sign, tuple(state)
-        i, s, t = hit
+        i, s, t = min(hits)
         state.remove(i)
         state.remove(i + s + t)
         state.append(i + s)
@@ -480,37 +483,41 @@ def decomposition_summary(case):
     }
 
 
-def _colon_witnesses(case, samples=1):
-    """Per component, (label, Q, P, variables, affine): the witnesses y outside P.
-
-    variables are the variables not in P.  affine holds 1 + x_min(P) and
-    samples - 1 random affine forms with nonzero constant term, drawn in
-    component order from one generator seeded by the case.
-    """
+def _colon_witnesses(case):
+    """Per component, (label, Q, P, variables): the variables not in P."""
     P1, P2prime = minimal_primes(case)
     comps = [
         ("q1", q1(case), P1),
         ("q2", q2(case), P2prime),
         ("j", embedded_j(case), case.maximal_ideal),
     ]
-    rng = random.Random(1000003 * case.m + 1009 * case.n + case.char)
-    nvars = case.nvars
     out = []
     for label, Q, P in comps:
-        pvars = set()
-        for v in P.generators:
-            pvars.update(case.ring.support(v._lm_packed(LEX)))
-        variables = [case.x(k) for k in sorted(set(range(1, nvars + 1)) - pvars)]
-        affine = [1 + case.x(min(pvars))]
-        for _ in range(max(0, samples - 1)):
-            terms = [(rng.randrange(1, 3), (0,) * nvars)]
-            for k in range(nvars):
-                c = rng.randrange(-2, 3)
-                if c:
-                    terms.append((c, tuple(1 if t == k else 0 for t in range(nvars))))
-            affine.append(case.ring.poly(terms))
-        out.append((label, Q, P, variables, affine))
+        pvars = {case.ring.support(v._lm_packed(LEX))[0] for v in P.generators}
+        variables = [case.x(k) for k in range(1, case.nvars + 1) if k not in pvars]
+        out.append((label, Q, P, variables))
     return out
+
+
+def _affine_witnesses(case, label, P, samples=1):
+    """1 + x_min(P) and samples - 1 random affine forms with nonzero constant term.
+
+    P is generated by variables.  The forms come from a generator seeded by
+    the case and the component label, so what one component draws does not
+    depend on the components before it.
+    """
+    nvars = case.nvars
+    low = min(case.ring.support(v._lm_packed(LEX))[0] for v in P.generators)
+    rng = random.Random(f"{case.m}x{case.n} char {case.char} {label}")
+    affine = [1 + case.x(low)]
+    for _ in range(samples - 1):
+        terms = [(rng.randrange(1, 3), (0,) * nvars)]
+        for k in range(nvars):
+            c = rng.randrange(-2, 3)
+            if c:
+                terms.append((c, tuple(1 if t == k else 0 for t in range(nvars))))
+        affine.append(case.ring.poly(terms))
+    return affine
 
 
 def verify_primary_properties(case, samples=1):
@@ -536,15 +543,16 @@ def verify_primary_properties(case, samples=1):
     * J.  rad(J) is the maximal ideal, so J is primary
       (Atiyah-Macdonald, Prop. 4.2), and no variable lies outside it.
 
-    So a homogeneous component skips the affine witnesses: 1 + x_min(P)
-    and samples - 1 seeded random affine forms with nonzero constant
-    term, whose colons return Q by the first point.  A component with an
+    So a homogeneous component skips the affine witnesses
+    (`_affine_witnesses`: 1 + x_min(P) and samples - 1 seeded random
+    affine forms with nonzero constant term), whose colons return Q by the
+    first point, and draws none of them.  A component with an
     inhomogeneous generator keeps them, as the reference path.
     """
     t0 = time.perf_counter()
     claim = "primary.components"
     failures = []
-    for label, Q, P, variables, affine in _colon_witnesses(case, samples):
+    for label, Q, P, variables in _colon_witnesses(case):
         nf_p = reducer(P.reduced_basis())
         for v in P.generators:
             if not radical_member(v, Q):
@@ -558,7 +566,9 @@ def verify_primary_properties(case, samples=1):
                     {"kind": "component_outside_prime", "component": label, "generator": str(gq)}
                 )
                 break
-        ys = variables if _has_homogeneous_generators(Q) else variables + affine
+        ys = variables
+        if not _has_homogeneous_generators(Q):
+            ys = variables + _affine_witnesses(case, label, P, samples)
         for y in ys:
             assert not nf_p(y).is_zero, "witness accidentally inside the prime"
             if not equal(colon(Q, y), Q):
@@ -602,11 +612,12 @@ def verify_associated_maximal(case):
 
 
 def _monomial(ring, indices, c=1):
-    """The monomial c * x_i * x_j * ... for 1-based variable indices."""
-    exps = [0] * ring.nvars
-    for i in indices:
-        exps[i - 1] += 1
-    return ring.monomial(tuple(exps), c)
+    """The monomial c * x_i * x_j * ... for 1-based variable indices, c nonzero.
+
+    Packed directly: x_i is 1 in the field (N - i) places above x_N's.
+    """
+    top = ring.nvars
+    return Polynomial._raw(ring, {sum(1 << (top - i) * _BITS for i in indices): ring.coeff(c)})
 
 
 def verify_reduction_lemma(case):
@@ -647,6 +658,49 @@ def verify_reduction_lemma(case):
     return _report(claim, case, t0, [])
 
 
+def _rows(a, height, width):
+    """The rows of the cells holding x_a in a height x width Hankel matrix.
+
+    Entry (r, c) is x_(r+c-1), so x_a sits in row r at column a - r + 1.
+    """
+    return range(max(1, a - width + 1), min(height, a) + 1)
+
+
+def _cubic_fits(x, y, z, height, width):
+    """Whether x_x and x_y (x < y) fit one row and x_z another, on three distinct columns."""
+    for p in range(max(1, y - width + 1), min(height, x) + 1):  # the rows holding both
+        cols = (x - p + 1, y - p + 1)
+        for q in _rows(z, height, width):
+            if q != p and z - q + 1 not in cols:
+                return True
+    return False
+
+
+def _is_cubic(a, b, c, height, width):
+    """Whether x_a*x_b*x_c (a <= b <= c) is a cubic of the membership lemma.
+
+    That is a product of entries on three distinct columns and exactly two
+    distinct rows, with any one of the three alone in its row.
+    """
+    return (
+        (a < b and _cubic_fits(a, b, c, height, width))
+        or (a < c and _cubic_fits(a, c, b, height, width))
+        or (b < c and _cubic_fits(b, c, a, height, width))
+    )
+
+
+def _is_transversal(a, b, c, height, width):
+    """Whether x_a, x_b, x_c sit in cells with distinct rows and distinct columns."""
+    for ra in _rows(a, height, width):
+        for rb in _rows(b, height, width):
+            if rb == ra or b - rb == a - ra:
+                continue
+            for rc in _rows(c, height, width):
+                if rc != ra and rc != rb and c - rc != a - ra and c - rc != b - rb:
+                    return True
+    return False
+
+
 def verify_membership_lemmas(case):
     """Low-degree products of matrix entries lie in P2.
 
@@ -654,38 +708,33 @@ def verify_membership_lemmas(case):
     rows, or transposed.  Degree 4 (square-ish shapes, m, n >= 3):
     products over three cells with distinct rows and distinct columns,
     exponents summing to 4.  Products coinciding as monomials are checked
-    once.
+    once, in ascending index order.
+
+    A product depends only on the anti-diagonals of its cells, so each
+    sorted index triple is enumerated once and kept when some placement of
+    its cells fits (`_is_cubic`, `_is_transversal`); the quartics are the
+    three doublings of each kept transversal triple.
     """
     t0 = time.perf_counter()
     claim = "lemma.membership"
     m, n = case.m, case.n
     ring = case.ring
     nf_p2 = reducer(case.p2.reduced_basis())
+    triples = list(combinations_with_replacement(range(1, case.nvars + 1), 3))
 
-    cubics = set()
-    # entry (r, c) is x_(r+c-1), so the transposed products are these with m and n swapped
-    for height, width in ((m, n), (n, m)):
-        for cols in combinations(range(1, width + 1), 3):
-            for rows in iproduct(range(1, height + 1), repeat=3):
-                if len(set(rows)) == 2:
-                    cubics.add(tuple(sorted(r + c - 1 for r, c in zip(rows, cols))))
-    for idx in sorted(cubics):
+    cubics = [t for t in triples if _is_cubic(*t, m, n) or _is_cubic(*t, n, m)]
+    for idx in cubics:
         if not nf_p2(_monomial(ring, idx)).is_zero:
             failure = {"kind": "cubic_outside_ideal", "monomial": list(idx)}
             return _report(claim, case, t0, [failure])
 
     if m >= 3 and n >= 3:
-        quartics = set()
-        for rows in combinations(range(1, m + 1), 3):
-            for cols in combinations(range(1, n + 1), 3):
-                for perm in permutations(cols):
-                    cells = tuple(r + c - 1 for r, c in zip(rows, perm))
-                    for epat in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
-                        idx = []
-                        for v, e in zip(cells, epat):
-                            idx.extend([v] * e)
-                        quartics.add(tuple(sorted(idx)))
-        for idx in sorted(quartics):
+        quartics = sorted({
+            tuple(sorted(t + (v,)))
+            for t in triples if _is_transversal(*t, m, n)
+            for v in t
+        })
+        for idx in quartics:
             if not nf_p2(_monomial(ring, idx)).is_zero:
                 failure = {"kind": "quartic_outside_ideal", "monomial": list(idx)}
                 return _report(claim, case, t0, [failure])
@@ -701,35 +750,49 @@ def verify_bound_lemma(case):
     For distinct leading terms with a common variable, the S-polynomial is
     zero or a binomial with unit coefficients of opposite sign whose two
     cubic monomials carry equal index sums within [7, 3m+3n-7].
+
+    The index sum e_1 + 2*e_2 + ... + N*e_N of a packed monomial m is the
+    field of m * w at x1's position, where w holds k in the field k - 1
+    places above x_N's; every field of that product is at most
+    deg(m) * N, so for a cubic (N <= 4096) nothing carries.
     """
     t0 = time.perf_counter()
     claim = "lemma.bound"
     ring = case.ring
+    nvars = case.nvars
     lo, hi = 7, 3 * (case.m + case.n) - 7
     units = {ring.coeff(1), ring.coeff(-1)}
+    w = sum(k << (k - 1) * _BITS for k in range(1, nvars + 1))
+    shift = (nvars - 1) * _BITS
     checked = 0
-    entries = [(p, p._lm_packed(LEX)) for p in case.p2.generators]
-    for (f, lf), (g, lg) in combinations(entries, 2):
-        if lf == lg or ring.mono_gcd(lf, lg) == 0:
-            continue
-        s = s_polynomial(f, g)
-        checked += 1
-        if s.is_zero:
-            continue
-        terms = s.terms()
-        sums = [sum(k * e for k, e in enumerate(t[1], start=1)) for t in terms]
-        degs = [sum(t[1]) for t in terms]
-        shape_ok = (
-            len(terms) == 2
-            and degs == [3, 3]
-            and sums[0] == sums[1]
-            and lo <= sums[0] <= hi
-            and {t[0] for t in terms} == units
-        )
-        if not shape_ok:
-            pair = [str(f), str(g)]
-            failure = {"kind": "spair_not_bounded_binomial", "pair": pair, "spoly": str(s)}
-            return _report(claim, case, t0, [failure])
+    gens = case.p2.generators
+    spoly = s_polynomials(gens)
+    lts = [p._lm_packed(LEX) for p in gens]
+    having = {}  # variable -> the generators whose leading term has it, ascending
+    for a, lt in enumerate(lts):
+        for k in ring.support(lt):
+            having.setdefault(k, []).append(a)
+    for a, lt in enumerate(lts):
+        # the later generators whose leading term shares a variable with lt
+        for b in sorted({b for k in ring.support(lt) for b in having[k] if b > a}):
+            if lts[b] == lt:
+                continue
+            s = spoly(a, b)
+            checked += 1
+            if s.is_zero:
+                continue
+            terms = s._d  # packed monomial -> coefficient
+            shape_ok = (
+                len(terms) == 2
+                and all(ring.deg(u) == 3 for u in terms)
+                and len(sums := {(u * w >> shift) & _FMASK for u in terms}) == 1
+                and lo <= sums.pop() <= hi
+                and set(terms.values()) == units
+            )
+            if not shape_ok:
+                pair = [str(gens[a]), str(gens[b])]
+                failure = {"kind": "spair_not_bounded_binomial", "pair": pair, "spoly": str(s)}
+                return _report(claim, case, t0, [failure])
     return _report(claim, case, t0, [], f"pairs={checked}")
 
 

@@ -5,6 +5,7 @@ import pytest
 from permahank import (
     HankelMatrix,
     Ring,
+    default_grid,
     permanent,
     permanent_generators,
     permanent_ideal,
@@ -133,3 +134,28 @@ def test_triples_all_within_range():
         for i, s, t in permanent_index_triples(m, n):
             assert 1 <= i and 1 <= s < m + 1 and s <= t <= n - 1
             assert i + s + t <= last
+
+
+def test_triples_are_built_once_per_shape():
+    triples = permanent_index_triples(3, 5)
+    assert isinstance(triples, tuple)
+    assert permanent_index_triples(3, 5) is triples
+    assert permanent_index_triples(5, 3) is triples
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_direct_permanents_match_the_arithmetic_construction(char):
+    for m, n in default_grid() + [(2, 23), (8, 13), (12, 13)]:
+        M = HankelMatrix(m, n, char)
+        x = M.ring.var
+        direct = permanent_generators(M)
+        built = [
+            x(i) * x(i + s + t) + x(i + s) * x(i + t)
+            for i, s, t in permanent_index_triples(m, n)
+        ]
+        # term for term, in dict order, coefficient types included
+        assert [list(g._d.items()) for g in direct] == [list(g._d.items()) for g in built]
+        assert [type(c) for g in direct for c in g._d.values()] == [
+            type(c) for g in built for c in g._d.values()
+        ]
+        assert set(direct) == set(subpermanents_ideal(M, 2).generators)

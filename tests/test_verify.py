@@ -1,6 +1,7 @@
 """The verification suite itself: closed forms, components, oracles, reports."""
 
 import random
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -24,13 +25,14 @@ from permahank import (
     normal_form,
     parse,
     permanent_generators,
+    permanent_index_triples,
     q1,
     q2,
     reducer,
     rewrite_monomial_indices,
     run_all,
     run_case,
-    s_polynomial,
+    s_polynomials,
     verify_associated_maximal,
     verify_bound_lemma,
     verify_decomposition,
@@ -43,6 +45,7 @@ from permahank.ideal_ops import _has_homogeneous_generators
 from permahank.verify import (
     VerificationReport,
     _basis_failure,
+    _affine_witnesses,
     _colon_witnesses,
     _minimal_subset,
     _report,
@@ -379,6 +382,31 @@ def test_run_case_check_filter():
         run_case(Case(2, 3), checks=["spectral"])
 
 
+def reference_rewrite(m, n, indices):
+    """The rewrite oracle as a plain scan of the canonical triples per step."""
+    triples = permanent_index_triples(m, n)
+    state = sorted(indices)
+    sign = 1
+    while True:
+        hit = next(((i, s, t) for i, s, t in triples if i in state and i + s + t in state), None)
+        if hit is None:
+            return sign, tuple(state)
+        i, s, t = hit
+        state.remove(i)
+        state.remove(i + s + t)
+        state += [i + s, i + t]
+        state.sort()
+        sign = -sign
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 5), (2, 8)])
+def test_rewrite_oracle_matches_the_reference_scan(shape):
+    m, n = shape
+    for d in (2, 3):
+        for idx in combinations_with_replacement(range(1, m + n), d):
+            assert rewrite_monomial_indices(m, n, idx) == reference_rewrite(m, n, idx), idx
+
+
 def test_default_grid():
     grid = default_grid()
     assert len(grid) == 29
@@ -476,11 +504,59 @@ def test_membership_lemma_reports_the_first_quartic_outside(monkeypatch):
     assert rep.detail == "" and len(quartics) == 1
 
 
+def brute_force_products(m, n):
+    """The membership lemma's cubics and quartics, from every product of entries."""
+    cubics = set()
+    for height, width in ((m, n), (n, m)):
+        for cols in combinations(range(1, width + 1), 3):
+            for rows in product(range(1, height + 1), repeat=3):
+                if len(set(rows)) == 2:
+                    cubics.add(tuple(sorted(r + c - 1 for r, c in zip(rows, cols))))
+    quartics = set()
+    if m >= 3 and n >= 3:
+        for rows in combinations(range(1, m + 1), 3):
+            for cols in combinations(range(1, n + 1), 3):
+                for perm in permutations(cols):
+                    cells = [r + c - 1 for r, c in zip(rows, perm)]
+                    for k in range(3):
+                        quartics.add(tuple(sorted(cells + [cells[k]])))
+    return sorted(cubics), sorted(quartics)
+
+
+def variable_product(case, idx):
+    f = case.ring.one()
+    for i in idx:
+        f = f * case.x(i)
+    return f
+
+
+def test_membership_lemma_checks_the_brute_force_products(monkeypatch):
+    checked = []
+
+    def recording(G):
+        return lambda f: checked.append(f) or f.ring.zero()
+
+    monkeypatch.setattr("permahank.verify.reducer", recording)
+    for m, n in default_grid():
+        case = Case(m, n, 32003)
+        checked.clear()
+        rep = verify_membership_lemmas(case)
+        cubics, quartics = brute_force_products(m, n)
+        want = [variable_product(case, idx) for idx in cubics + quartics]
+        assert checked == want, (m, n)
+        assert rep.detail == (
+            f"cubics={len(cubics)} quartics={len(quartics)}" if m >= 3 else f"cubics={len(cubics)}"
+        )
+
+
 def test_bound_lemma_reports_the_first_unbounded_spair(monkeypatch):
     calls = []
-    monkeypatch.setattr(
-        "permahank.verify.s_polynomial", _counting(calls, lambda f, g: 2 * s_polynomial(f, g))
-    )
+
+    def doubled(G):
+        spoly = s_polynomials(G)
+        return _counting(calls, lambda i, j: 2 * spoly(i, j))
+
+    monkeypatch.setattr("permahank.verify.s_polynomials", doubled)
     rep = verify_bound_lemma(Case(2, 3))
     assert rep.witness == {
         "kind": "spair_not_bounded_binomial",
@@ -490,15 +566,55 @@ def test_bound_lemma_reports_the_first_unbounded_spair(monkeypatch):
     assert len(calls) == 1
 
 
+def test_bound_lemma_forms_the_pairs_sharing_a_leading_variable(monkeypatch):
+    formed = []
+
+    def recording(G):
+        return lambda i, j: formed.append((i, j)) or G[0].ring.zero()
+
+    monkeypatch.setattr("permahank.verify.s_polynomials", recording)
+    for m, n in default_grid():
+        case = Case(m, n, 32003)
+        formed.clear()
+        rep = verify_bound_lemma(case)
+        lts = [g.leading_monomial() for g in case.p2.generators]
+        want = [
+            (a, b)
+            for a, b in combinations(range(len(lts)), 2)
+            if lts[a] != lts[b] and any(x and y for x, y in zip(lts[a], lts[b]))
+        ]
+        assert formed == want, (m, n)
+        assert rep.detail == f"pairs={len(want)}"
+
+
+@pytest.mark.parametrize("spoly, ok", [
+    ("x1*x2*x4 - x1*x3^2", True),    # index sums 7 and 7
+    ("x2*x3*x6 - x3*x4^2", True),    # 11 and 11
+    ("x1^2*x4 - x2^3", False),       # 6 and 6, below 7
+    ("x2*x6^2 - x4*x5^2", True),     # 14 and 14, 3m+3n-7 = 14
+    ("x3*x6^2 - x5^3", False),       # 15 and 15, above 14
+    ("x1*x3*x4 - x2^2*x3", False),   # 8 and 7
+    ("x1*x2*x4 + x1*x3^2", False),   # same sign
+    ("x1*x2^2*x3 - x1*x2*x3^2", False),  # quartics
+    ("x1*x2*x4", False),
+])
+def test_bound_lemma_reads_index_sums_from_packed_monomials(spoly, ok, monkeypatch):
+    case = Case(3, 4)
+    f = parse(spoly, case.ring)
+    monkeypatch.setattr("permahank.verify.s_polynomials", lambda G: lambda i, j: f)
+    assert verify_bound_lemma(case).passed is ok
+
+
 # -- primary components: affine colons only on inhomogeneous components ----------
 
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_skipped_affine_colons_return_the_component(char):
     for m, n in default_grid():
-        for label, Q, P, variables, affine in _colon_witnesses(Case(m, n, char)):
+        case = Case(m, n, char)
+        for label, Q, P, variables in _colon_witnesses(case):
             assert _has_homogeneous_generators(Q), (m, n, label)
-            for y in affine:
+            for y in _affine_witnesses(case, label, P):
                 assert equal(colon(Q, y), Q), (m, n, label, str(y))
 
 
@@ -515,9 +631,34 @@ def test_inhomogeneous_component_goes_through_colon(monkeypatch):
     same = Ideal(case.ring, Q.generators + (g + case.x(1) * g,))  # Q again, inhomogeneous generators
     monkeypatch.setattr("permahank.verify.q1", lambda c: same)
     assert verify_primary_properties(case, samples=3).passed
-    (_, _, _, _, affine), *_ = _colon_witnesses(case, samples=3)
+    (_, _, P, _), *_ = _colon_witnesses(case)
+    affine = _affine_witnesses(case, "q1", P, samples=3)
     assert [str(y) for _, y in calls] == ["x4", "x1 + 1"] + [str(y) for y in affine[1:]] + ["x1"]
     assert len(affine) == 3
+
+
+def test_homogeneous_components_draw_no_affine_witness(monkeypatch):
+    case = Case(2, 3, 32003)
+    calls = []
+    monkeypatch.setattr(
+        "permahank.verify._affine_witnesses", _counting(calls, _affine_witnesses)
+    )
+    assert verify_primary_properties(case, samples=10**6).passed
+    assert calls == []
+
+
+def test_affine_witnesses_are_drawn_per_component():
+    case = Case(3, 4, 0)
+    comps = _colon_witnesses(case)
+    alone = [_affine_witnesses(case, label, P, samples=4) for label, _, P, _ in comps]
+    backwards = [_affine_witnesses(case, label, P, samples=4) for label, _, P, _ in comps[::-1]]
+    assert alone == backwards[::-1]
+    assert len({str(a[1]) for a in alone}) == 3
+    for (label, _, P, _), affine in zip(comps, alone):
+        low = min(k for k in range(1, case.nvars + 1) if case.x(k) in P.generators)
+        assert affine[0] == 1 + case.x(low)
+        for y in affine:
+            assert y.coefficient((0,) * 6) != 0
 
 
 def test_non_primary_homogeneous_component_fails(monkeypatch):

@@ -14,7 +14,8 @@ Verbs:
 
 Exit codes: 0 success (all checks pass), 1 at least one verification
 failure (reports are still emitted), 2 usage or domain error, or a
-computation stopped by its limit (the saturation cap PERMAHANK_MAX_ITERS).
+computation stopped by its limit (a saturation reaching
+ideal_ops.SATURATION_CAP).
 
 Text output is byte-deterministic.  JSON verification reports carry a
 wall-clock "millis" field and are deterministic in all other fields.
@@ -208,8 +209,6 @@ def _cmd_classify(args):
 
 
 def _cmd_verify(args):
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.max_vars < 4:
         # 2x3, the smallest shape, needs 4 variables: a lower budget checks nothing
         raise ValueError(f"--max-vars must be at least 4, got {args.max_vars}")
@@ -234,7 +233,7 @@ def _cmd_verify(args):
                 f"--max-vars budget of {args.max_vars}"
             )
         shapes.append((m, n))
-    reports = run_all(sorted(set(shapes)), args.char, checks, args.samples)
+    reports = run_all(sorted(set(shapes)), args.char, checks)
     npass = sum(1 for r in reports if r.passed)
     if args.format == "json":
         _emit_json([r.to_dict() for r in reports], args)
@@ -357,12 +356,6 @@ def _build_parser():
         type=int,
         default=12,
         help="variable budget; shapes needing more are rejected",
-    )
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=1,
-        help="random colon witnesses per component in the primary check",
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -20,12 +20,10 @@ generators of the intersection divided exactly by f.  One reverse-lex
 basis per variable of a monomial costs more than that one elimination,
 which starts from I's cached lex basis.  Every other saturation iterates
 colons by elimination until the chain stabilizes.  Either way saturation
-reports the stabilization exponent, which PERMAHANK_MAX_ITERS caps.
+reports the stabilization exponent, which SATURATION_CAP caps.
 """
 
 from __future__ import annotations
-
-import os
 
 from .ring import (
     LEX, MonomialOrder, Polynomial, Ring, _BITS, _EMAX, _FMASK, _RevlexOrder, _degree,
@@ -33,7 +31,7 @@ from .ring import (
 )
 from .groebner import GroebnerBasis, _exact_div, buchberger, reducer
 
-DEFAULT_SATURATION_CAP = 64
+SATURATION_CAP = 64
 
 
 class Ideal:
@@ -248,8 +246,7 @@ def saturate(I, f):
     """Saturation of I at f: the stable colon (I : f^infinity).
 
     Returns (S, n) where S = (I : f^n) and n is the smallest exponent with
-    (I : f^n) = (I : f^(n+1)).  The cap on n is 64, or the value of the
-    PERMAHANK_MAX_ITERS environment variable; n >= cap raises RuntimeError,
+    (I : f^n) = (I : f^(n+1)).  n >= SATURATION_CAP raises RuntimeError,
     since the chain must stabilize in a Noetherian ring and a cap hit means
     it was not seen to.
 
@@ -266,38 +263,29 @@ def saturate(I, f):
     e*n >= j.  Any other input, a monomial of several variables included,
     iterates colons by elimination.
     """
-    raw = os.environ.get("PERMAHANK_MAX_ITERS", DEFAULT_SATURATION_CAP)
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"PERMAHANK_MAX_ITERS must be a positive integer, got {raw!r}")
     _check_divisor(I, f)
     power = _variable_power(I, f)
     if power is None:
-        return _saturate_by_colons(I, f, cap)
+        return _saturate_by_colons(I, f)
     k, e = power
     j = max(nu for _, nu in _revlex_basis(I, k))
     n = -(-j // e)
-    if n >= cap:
-        raise RuntimeError(f"saturation did not stabilize within {cap} steps")
+    if n >= SATURATION_CAP:
+        raise RuntimeError(f"saturation did not stabilize within {SATURATION_CAP} steps")
     if n == 0:
         return I, 0
     return colon(I, I.ring.var(k) ** j), n
 
 
-def _saturate_by_colons(I, f, cap):
+def _saturate_by_colons(I, f):
     """Reference path for saturate: colons by elimination until stable."""
     prev = I
-    n = 0
-    for _ in range(cap):
+    for n in range(SATURATION_CAP):
         nxt = _colon_by_elimination(prev, f)
         if equal(nxt, prev):
             return prev, n
         prev = nxt
-        n += 1
-    raise RuntimeError(f"saturation did not stabilize within {cap} steps")
+    raise RuntimeError(f"saturation did not stabilize within {SATURATION_CAP} steps")
 
 
 def radical_member(f, I):
@@ -379,9 +367,10 @@ def ideal_from_dict(d):
         gens = d["generators"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ideal description: {exc}") from exc
-    if not isinstance(nvars, int) or nvars < 1:
+    # type(), not isinstance: JSON true and false load as bool, an int subclass
+    if type(nvars) is not int or nvars < 1:
         raise ValueError("'vars' must be a positive integer")
-    if not isinstance(char, int):
+    if type(char) is not int:
         raise ValueError("'char' must be an integer")
     order = MonomialOrder(order_name)
     if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):

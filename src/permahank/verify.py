@@ -20,7 +20,6 @@ on failure, a machine-checkable witness.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -499,41 +498,14 @@ def _colon_witnesses(case):
     return out
 
 
-def _affine_witnesses(case, label, P, samples=1):
-    """1 + x_min(P) and samples - 1 random affine forms with nonzero constant term.
-
-    P is generated by variables.  The forms come from a generator seeded by
-    the case and the component label, so what one component draws does not
-    depend on the components before it.
-    """
-    nvars = case.nvars
-    low = min(case.ring.support(v._lm_packed(LEX))[0] for v in P.generators)
-    rng = random.Random(f"{case.m}x{case.n} char {case.char} {label}")
-    affine = [1 + case.x(low)]
-    for _ in range(samples - 1):
-        terms = [(rng.randrange(1, 3), (0,) * nvars)]
-        for k in range(nvars):
-            c = rng.randrange(-2, 3)
-            if c:
-                terms.append((c, tuple(1 if t == k else 0 for t in range(nvars))))
-        affine.append(case.ring.poly(terms))
-    return affine
-
-
-def verify_primary_properties(case, samples=1):
+def verify_primary_properties(case):
     """Primary-component battery for (Q1, Q2, J) against their primes.
 
     For each pair (Q, P): every generator of P lies in rad(Q), Q sits
     inside P (so rad(Q) = P), and (Q : y) = Q for each variable y not in
-    P.  Every P here is generated by all the variables but one, or by all
-    of them.  When Q has homogeneous generators this proves Q P-primary:
+    P.  When Q has homogeneous generators and P, generated by variables,
+    misses at most one of them, this proves Q P-primary:
 
-    * Affine forms are never zero divisors mod Q.  Let y have nonzero
-      constant term c and suppose y*h lies in Q with h outside Q.  Drop
-      from h its homogeneous parts that lie in Q, and let h_d be the
-      lowest part left.  The degree-d part of y*h is then c*h_d, and it
-      lies in Q, since Q is homogeneous.  So h_d lies in Q, which is a
-      contradiction.  Hence (Q : y) = Q.
     * Q1 and Q2.  P is generated by every variable but x_k.  The
       associated primes of a homogeneous Q are homogeneous (Eisenbud,
       Commutative Algebra, 3.5), and each contains rad(Q) = P, so each is
@@ -543,11 +515,10 @@ def verify_primary_properties(case, samples=1):
     * J.  rad(J) is the maximal ideal, so J is primary
       (Atiyah-Macdonald, Prop. 4.2), and no variable lies outside it.
 
-    So a homogeneous component skips the affine witnesses
-    (`_affine_witnesses`: 1 + x_min(P) and samples - 1 seeded random
-    affine forms with nonzero constant term), whose colons return Q by the
-    first point, and draws none of them.  A component with an
-    inhomogeneous generator keeps them, as the reference path.
+    A component outside the proof fails, with `component_not_homogeneous`
+    or `prime_misses_several_variables`: for it the variable colons are
+    necessary but not sufficient.  Every component the paper gives is
+    homogeneous, at a prime that misses at most one variable.
     """
     t0 = time.perf_counter()
     claim = "primary.components"
@@ -566,10 +537,15 @@ def verify_primary_properties(case, samples=1):
                     {"kind": "component_outside_prime", "component": label, "generator": str(gq)}
                 )
                 break
-        ys = variables
         if not _has_homogeneous_generators(Q):
-            ys = variables + _affine_witnesses(case, label, P, samples)
-        for y in ys:
+            failures.append({"kind": "component_not_homogeneous", "component": label})
+        if len(variables) > 1:
+            failures.append({
+                "kind": "prime_misses_several_variables",
+                "component": label,
+                "variables": [str(y) for y in variables],
+            })
+        for y in variables:
             assert not nf_p(y).is_zero, "witness accidentally inside the prime"
             if not equal(colon(Q, y), Q):
                 failures.append(
@@ -801,7 +777,7 @@ def verify_bound_lemma(case):
 CHECK_NAMES = ("gb", "decomp", "primary", "assoc", "lemmas")
 
 
-def run_case(case, checks=None, samples=1):
+def run_case(case, checks=None):
     """All applicable claim checks for one case, in canonical order."""
     want = set(CHECK_NAMES if checks is None else checks)
     unknown = want - set(CHECK_NAMES)
@@ -813,7 +789,7 @@ def run_case(case, checks=None, samples=1):
     if "decomp" in want:
         out.append(verify_decomposition(case))
     if "primary" in want:
-        out.append(verify_primary_properties(case, samples))
+        out.append(verify_primary_properties(case))
     if "assoc" in want:
         rep = verify_associated_maximal(case)
         if rep is not None:
@@ -835,11 +811,11 @@ def default_grid(max_vars=12):
     return sorted(out)
 
 
-def run_all(grid=None, char=0, checks=None, samples=1):
+def run_all(grid=None, char=0, checks=None):
     """Verification reports for every shape in the grid, sorted by (m, n)."""
     if grid is None:
         grid = default_grid()
     reports = []
     for m, n in sorted(grid):
-        reports.extend(run_case(Case(m, n, char), checks, samples))
+        reports.extend(run_case(Case(m, n, char), checks))
     return reports

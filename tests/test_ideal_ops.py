@@ -25,9 +25,9 @@ from permahank import (
 )
 from permahank import ideal_ops
 from permahank.ideal_ops import (
-    DEFAULT_SATURATION_CAP,
     _colon_by_elimination,
     _saturate_by_colons,
+    _variable_power,
 )
 
 
@@ -161,14 +161,17 @@ def test_saturate(P2, R):
 
 def test_saturate_cap(P2, R, monkeypatch):
     # the cap counts colon computations; seeing stability at exponent 2
-    # takes three of them
-    monkeypatch.setenv("PERMAHANK_MAX_ITERS", "2")
-    with pytest.raises(RuntimeError):
-        saturate(P2, R.var(4))
-    monkeypatch.setenv("PERMAHANK_MAX_ITERS", "3")
-    _, n = saturate(P2, R.var(4))
-    assert n == 2
-    assert DEFAULT_SATURATION_CAP == 64
+    # takes three of them.  x4 takes the reverse-lex path, x1*x4 (several
+    # variables) the colons of _saturate_by_colons; both stabilize at 2
+    assert ideal_ops.SATURATION_CAP == 64
+    x1, x4 = R.var(1), R.var(4)
+    assert _variable_power(P2, x4) is not None and _variable_power(P2, x1 * x4) is None
+    for f in (x4, x1 * x4):
+        monkeypatch.setattr(ideal_ops, "SATURATION_CAP", 2)
+        with pytest.raises(RuntimeError, match="within 2 steps"):
+            saturate(P2, f)
+        monkeypatch.setattr(ideal_ops, "SATURATION_CAP", 3)
+        assert saturate(P2, f)[1] == 2
 
 
 def test_gtz_splitting(P2, R):
@@ -261,7 +264,7 @@ def test_saturation_fast_path_matches_reference_on_grid(char):
         s = decomposition_summary(case)
         f, g = case.x(case.r + 1), case.x(1)
         for tag, I, v in (("q1", case.p2, f), ("q2", case.p2 + f * f, g)):
-            ref, n_ref = _saturate_by_colons(I, v, DEFAULT_SATURATION_CAP)
+            ref, n_ref = _saturate_by_colons(I, v)
             assert (lex_strs(s[tag]), s[f"{tag}_stab"]) == (lex_strs(ref), n_ref), (m, n, tag)
 
 
@@ -275,7 +278,7 @@ def test_colon_fast_path_matches_reference(char):
                 assert lex_strs(colon(P, f)) == lex_strs(_colon_by_elimination(P, f)), (m, n, k, e)
                 if m == 3:
                     S, s = saturate(P, f)
-                    ref, s_ref = _saturate_by_colons(P, f, DEFAULT_SATURATION_CAP)
+                    ref, s_ref = _saturate_by_colons(P, f)
                     assert (lex_strs(S), s) == (lex_strs(ref), s_ref), (m, n, k, e)
 
 

@@ -45,7 +45,6 @@ from permahank.ideal_ops import _has_homogeneous_generators
 from permahank.verify import (
     VerificationReport,
     _basis_failure,
-    _affine_witnesses,
     _colon_witnesses,
     _minimal_subset,
     _report,
@@ -304,7 +303,7 @@ def test_individual_checks_pass():
         case = Case(*shape)
         assert verify_gb(case).passed
         assert verify_decomposition(case).passed
-        assert verify_primary_properties(case, samples=2).passed
+        assert verify_primary_properties(case).passed
         assert verify_reduction_lemma(case).passed
         assert verify_membership_lemmas(case).passed
         assert verify_bound_lemma(case).passed
@@ -605,60 +604,53 @@ def test_bound_lemma_reads_index_sums_from_packed_monomials(spoly, ok, monkeypat
     assert verify_bound_lemma(case).passed is ok
 
 
-# -- primary components: affine colons only on inhomogeneous components ----------
+# -- primary components: proven for homogeneous components at near-maximal primes --
 
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_skipped_affine_colons_return_the_component(char):
+    # a form with a nonzero constant term is no zero divisor mod a homogeneous
+    # ideal, so the proof needs no affine colon; check that on the grid
     for m, n in default_grid():
         case = Case(m, n, char)
-        for label, Q, P, variables in _colon_witnesses(case):
+        for label, Q, P, _ in _colon_witnesses(case):
             assert _has_homogeneous_generators(Q), (m, n, label)
-            for y in _affine_witnesses(case, label, P):
-                assert equal(colon(Q, y), Q), (m, n, label, str(y))
+            low = min(k for k in range(1, case.nvars + 1) if case.x(k) in P.generators)
+            y = 1 + case.x(low)
+            assert equal(colon(Q, y), Q), (m, n, label, str(y))
 
 
 def test_inhomogeneous_component_goes_through_colon(monkeypatch):
     case = Case(2, 3, 32003)
     calls = []
     monkeypatch.setattr("permahank.verify.colon", _counting(calls, colon))
-    assert verify_primary_properties(case, samples=3).passed
-    # homogeneous: only the variable outside each prime; J has none
+    assert verify_primary_properties(case).passed
+    # only the variable outside each prime; J has none
     assert [str(y) for _, y in calls] == ["x4", "x1"]
     calls.clear()
     Q = q1(case)
     g = Q.generators[0]
     same = Ideal(case.ring, Q.generators + (g + case.x(1) * g,))  # Q again, inhomogeneous generators
     monkeypatch.setattr("permahank.verify.q1", lambda c: same)
-    assert verify_primary_properties(case, samples=3).passed
-    (_, _, P, _), *_ = _colon_witnesses(case)
-    affine = _affine_witnesses(case, "q1", P, samples=3)
-    assert [str(y) for _, y in calls] == ["x4", "x1 + 1"] + [str(y) for y in affine[1:]] + ["x1"]
-    assert len(affine) == 3
+    rep = verify_primary_properties(case)
+    assert rep.witness == {"kind": "component_not_homogeneous", "component": "q1"}
+    assert [str(y) for _, y in calls] == ["x4", "x1"]
 
 
-def test_homogeneous_components_draw_no_affine_witness(monkeypatch):
-    case = Case(2, 3, 32003)
-    calls = []
-    monkeypatch.setattr(
-        "permahank.verify._affine_witnesses", _counting(calls, _affine_witnesses)
-    )
-    assert verify_primary_properties(case, samples=10**6).passed
-    assert calls == []
-
-
-def test_affine_witnesses_are_drawn_per_component():
-    case = Case(3, 4, 0)
-    comps = _colon_witnesses(case)
-    alone = [_affine_witnesses(case, label, P, samples=4) for label, _, P, _ in comps]
-    backwards = [_affine_witnesses(case, label, P, samples=4) for label, _, P, _ in comps[::-1]]
-    assert alone == backwards[::-1]
-    assert len({str(a[1]) for a in alone}) == 3
-    for (label, _, P, _), affine in zip(comps, alone):
-        low = min(k for k in range(1, case.nvars + 1) if case.x(k) in P.generators)
-        assert affine[0] == 1 + case.x(low)
-        for y in affine:
-            assert y.coefficient((0,) * 6) != 0
+def test_prime_missing_several_variables_fails(monkeypatch):
+    # Q = (x1, x2^2, x2*(x3 - x4)) has radical P = (x1, x2) and passes the
+    # colons by x3 and x4, yet (x1, x2, x3 - x4) is an embedded prime
+    case = Case(2, 3)
+    x = case.x
+    P = Ideal(case.ring, [x(1), x(2)])
+    Q = Ideal(case.ring, [x(1), x(2) ** 2, x(2) * x(3) - x(2) * x(4)])
+    assert not equal(colon(Q, x(3) - x(4)), Q)
+    monkeypatch.setattr("permahank.verify.minimal_primes", lambda c: (P, c.primes[1]))
+    monkeypatch.setattr("permahank.verify.q1", lambda c: Q)
+    rep = verify_primary_properties(case)
+    assert rep.witness == {
+        "kind": "prime_misses_several_variables", "component": "q1", "variables": ["x3", "x4"],
+    }
 
 
 def test_non_primary_homogeneous_component_fails(monkeypatch):

@@ -24,6 +24,7 @@ wall-clock "millis" field and are deterministic in all other fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -280,6 +281,7 @@ def _add_order(p):
     )
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main()
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="permahank",

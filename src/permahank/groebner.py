@@ -33,6 +33,11 @@ guard-bit arithmetic as the support masks below: b divides a exactly when
 mark the fields where a's exponent is at least b's, which gives the lcm as
 a fieldwise maximum.
 
+`is_groebner` decides the Buchberger criterion without forming the pairs
+whose leading terms are coprime (Buchberger's first criterion, proved in
+its docstring); the all-pairs loop it replaced is kept in the tests as the
+reference it must agree with.
+
 Every routine reads one monic entry per basis element, (leading monomial,
 support mask, tail items), with the tail divided by the leading
 coefficient when `_entry` builds it: `_prepare` builds one per polynomial,
@@ -629,20 +634,39 @@ def inter_reduce(polys, order=LEX):
 def is_groebner(G, order=None):
     """Check the Buchberger criterion for G; returns (flag, witness).
 
-    Every S-polynomial of a pair of elements is reduced against all of G.
-    The witness on failure is (f, g, nonzero normal form); no criteria are
-    used to skip pairs, so coprime pairs are honestly checked too.  The
-    order defaults as in `reducer`.
+    The S-polynomial of every pair whose leading terms share a variable is
+    reduced against all of G, and G passes when each remainder is zero.
+    Pairs with coprime leading terms, lcm(lt f, lt g) = lt f * lt g, are
+    skipped by Buchberger's first criterion (Buchberger, EUROSAM 1979;
+    Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 §10): with
+    f = lt f + f' and g = lt g + g' monic, S(f, g) = f'*g - g'*f.  The two
+    products have different leading terms, since lt(f')*lt g = lt(g')*lt f
+    with lt f coprime to lt g would make lt f divide lt(f') < lt f.  So
+    neither leading term is above the S-polynomial's, which is a standard
+    representation.  G is a Groebner basis exactly when every S-polynomial
+    of a pair of G has a standard representation (ibid.), and a zero
+    remainder gives one.  So the check stays an exact decision: a nonzero
+    remainder is a nonzero element of (G) with no term divisible by a
+    leading term of G, and all zero remainders make G a Groebner basis.
+
+    The witness on failure is (f, g, nonzero normal form) for the first
+    failing pair (i, j), i < j in G's order, whose leading terms are not
+    coprime.  The order defaults as in `reducer`.
     """
     G, order = _basis_and_order(G, order)
     if not G:
         raise ValueError("need at least one polynomial")
     ring = _common_ring(G)
+    lcm = ring.mono_lcm
     red = _prepare(G, ring, order)
     first = {}
     n = len(G)
     for i in range(n):
+        a = red[i][0]
         for j in range(i + 1, n):
+            b = red[j][0]
+            if lcm(a, b) == a + b:
+                continue
             s = _spoly_dict(red[i], red[j], ring)
             if not s:
                 continue

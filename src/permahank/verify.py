@@ -413,16 +413,24 @@ def verify_decomposition(case):
     c_{k+1} = (c_k : f).  Since ((I : f^k) : f) = (I : f^(k+1)), it returns
     S = (I : f^n) with (I : f^n) = (I : f^(n+1)), and the chain is stable
     from n on.  So S = Q1 with n <= 2 is the claim
-    (P2 : x_{r+1}^2) = (P2 : x_{r+1}^3) = Q1, and likewise
-    ((P2 + (x_{r+1}^2)) : x1^k) = Q2 for k = 2, 3.  Also asserts that the
-    radical of J is the full maximal ideal and that the triple
-    intersection recovers P2.  The detail records whether J is genuinely
-    embedded (Q1 cap Q2 != P2) for this shape.
+    (P2 : x_N^2) = (P2 : x_N^infinity) = Q1, N = r + 1, and likewise
+    ((P2 + (x_N^2)) : x1^2) = ((P2 + (x_N^2)) : x1^infinity) = Q2.  Also
+    asserts that the radical of J is the full maximal ideal.  The detail
+    records whether J is genuinely embedded (Q1 cap Q2 != P2) for this
+    shape.
+
+    The triple intersection is not computed: the checks above prove it.
+    The splitting lemma (Gianni-Trager-Zacharias, J. Symb. Comp. 6, 1988)
+    gives I = (I : f^n) cap (I + (f^n)) whenever (I : f^n) = (I : f^infinity).
+    With I = P2 and f = x_N, n = 2, that is P2 = Q1 cap (P2 + (x_N^2)).
+    With I = P2 + (x_N^2) and f = x1, it is
+    P2 + (x_N^2) = Q2 cap (P2 + (x_N^2, x1^2)) = Q2 cap J, since J is
+    P2 + (x1^2, x_N^2) by construction (`Case.j`).  Hence
+    P2 = Q1 cap Q2 cap J whenever the q1 and q2 checks pass.
     """
     t0 = time.perf_counter()
     claim = "decomp.main"
     failures = []
-    p2 = case.p2
     s = decomposition_summary(case)
     J = s["j"]
 
@@ -441,11 +449,6 @@ def verify_decomposition(case):
                 failures.append({"kind": "radical_misses_variable", "variable": f"x{k}"})
                 break
 
-    triple = intersect(case.q1q2, J)
-    if not equal(triple, p2):
-        failures.append(
-            {"kind": "triple_intersection_mismatch", "witness": str(why_unequal(triple, p2))}
-        )
     embedded = not s["j_redundant"]
     detail = (
         f"q1_stab={s['q1_stab']} q2_stab={s['q2_stab']} "

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from permahank import cli
 from permahank.cli import main
 from permahank.verify import Case, VerificationReport, alphas
 
@@ -362,6 +363,36 @@ def test_json_deterministic_modulo_millis(capsys):
     for rep in a + b:
         rep.pop("millis")
     assert a == b
+
+
+def test_one_parser_serves_consecutive_calls(capsys):
+    # main() builds its parser once per process; each call must still behave
+    # as on a parser of its own, an argparse error included
+    argvs = [
+        ["verify", "--grid", "2x3", "--check", "decomp", "--format", "json"],
+        ["verify", "--grid", "3x3", "--check", "assoc"],
+        ["gb", "--m", "2", "--n", "3"],
+        ["verify", "--max-vars", "many"],
+    ] * 2
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        return rc, re.sub(r'"millis": \d+', '"millis": 0', out), err
+
+    cli._build_parser.cache_clear()
+    shared = [outcome(argv) for argv in argvs]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 2] * 2
+    assert "invalid int value: 'many'" in shared[3][2]
 
 
 # sha256 of `verify --grid SHAPE --format json` with every "millis" entry

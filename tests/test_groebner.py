@@ -7,7 +7,7 @@ by hand against the closed forms; they are frozen as string literals.
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +27,7 @@ from permahank import (
     permanent_generators,
     reducer,
     s_polynomial,
+    s_polynomials,
 )
 from permahank import groebner
 from permahank.groebner import _exact_div, _minimal_lcms, _monomial_pairs, _nf_dict, _prepare
@@ -745,6 +746,56 @@ def test_raw_bases_and_witnesses_match_the_linear_scan(shape, char, name):
         got.append(None if ok else digest(wit))
     assert tuple(got) == RECORDED[shape, char, name]
     assert is_groebner(raw, order) == (True, None)
+
+
+# -- is_groebner: agreement with the all-pairs criterion it replaced -----------
+
+
+def all_pairs_is_groebner(G, order=None):
+    """Reference Buchberger criterion: reduce the S-polynomial of every pair.
+
+    The loop `is_groebner` ran before it skipped pairs with coprime leading
+    terms: (flag, witness), the witness from the first failing pair (i, j)
+    in G's order, coprime or not.
+    """
+    G, order = groebner._basis_and_order(G, order)
+    spoly, nf = s_polynomials(G, order), reducer(G, order)
+    for i, j in combinations(range(len(G)), 2):
+        r = nf(spoly(i, j))
+        if not r.is_zero:
+            return False, (G[i], G[j], r)
+    return True, None
+
+
+def coprime_leading_terms(f, g, order):
+    return not any(a and b for a, b in zip(f.leading_monomial(order), g.leading_monomial(order)))
+
+
+def assert_agrees_with_all_pairs(G, order=None):
+    """is_groebner(G) against the reference; returns the reference's answer.
+
+    The flags must agree.  So must the witnesses when the reference's first
+    failing pair is not coprime: is_groebner skips coprime pairs, so for
+    them it may name a later pair, whose remainder is then nonzero too.
+    """
+    G, order = groebner._basis_and_order(G, order)
+    got, want = is_groebner(G, order), all_pairs_is_groebner(G, order)
+    assert got[0] == want[0]
+    if not want[0]:
+        f, g, r = got[1]
+        assert not coprime_leading_terms(f, g, order) and not r.is_zero
+        if not coprime_leading_terms(*want[1][:2], order):
+            assert got == want
+    return want
+
+
+@pytest.mark.parametrize("shape,char,name", sorted(RECORDED), ids=lambda v: str(v))
+def test_is_groebner_agrees_with_all_pairs_with_one_element_dropped(shape, char, name):
+    gens = perms(*map(int, shape.split("x")), char)
+    order = entry_order(name, gens[0].ring.nvars)
+    raw = buchberger(gens, order, reduce=False).elements
+    answers = [assert_agrees_with_all_pairs(raw[:i] + raw[i + 1:], order) for i in range(len(raw))]
+    assert any(not ok for ok, _ in answers)
 
 
 def all_pairs_minimal_lcms(lcms, guard):

@@ -20,7 +20,6 @@ from permahank import (
     equal,
     inter_reduce,
     intersect,
-    is_groebner,
     minimal_primes,
     normal_form,
     parse,
@@ -49,6 +48,7 @@ from permahank.verify import (
     _minimal_subset,
     _report,
 )
+from test_groebner import assert_agrees_with_all_pairs
 
 
 def test_case_validation():
@@ -163,6 +163,11 @@ def test_embedded_j_generators():
     R = case.ring
     assert parse("x1^2", R) in set(J.generators)
     assert parse("x4^2", R) in set(J.generators)
+    # J = P2 + (x1^2, xN^2), which decomp.main's splitting-lemma proof relies on
+    for shape in default_grid():
+        case = Case(*shape)
+        x = case.x
+        assert embedded_j(case).generators == case.p2.generators + (x(1) ** 2, x(case.nvars) ** 2)
 
 
 def test_alpha_lists():
@@ -261,21 +266,31 @@ def test_decomposition_detail(shape, detail):
     assert rep.passed and rep.detail == detail
 
 
-def test_decomposition_rejects_a_wrong_closed_form(monkeypatch):
-    monkeypatch.setattr("permahank.verify.q1", lambda case: case.maximal_ideal)
+def _rejects_a_wrong_closed_form(monkeypatch, tag):
+    monkeypatch.setattr(f"permahank.verify.{tag}", lambda case: case.maximal_ideal)
     rep = verify_decomposition(Case(2, 3))
     assert not rep.passed
     failures = rep.witness.get("failures", [rep.witness])
-    wrong = [f for f in failures if f["kind"].startswith("q1_")]
-    assert [f["kind"] for f in wrong] == ["q1_mismatch"]
+    wrong = [f for f in failures if f["kind"].startswith(f"{tag}_")]
+    assert [f["kind"] for f in wrong] == [f"{tag}_mismatch"]
     assert wrong[0]["witness"] not in ("", "None")
 
 
+def test_decomposition_rejects_a_wrong_closed_form(monkeypatch):
+    _rejects_a_wrong_closed_form(monkeypatch, "q1")
+
+
+def test_decomposition_rejects_a_wrong_q2(monkeypatch):
+    _rejects_a_wrong_closed_form(monkeypatch, "q2")
+
+
 def test_triple_intersection_recovers_ideal():
-    for shape in [(2, 3), (2, 4), (3, 3), (3, 5)]:
-        case = Case(*shape)
-        triple = intersect(case.q1q2, embedded_j(case))
-        assert equal(triple, case.p2)
+    # decomp.main derives this from the splitting lemma instead of computing it
+    for char in (0, 32003):
+        for shape in default_grid():
+            case = Case(*shape, char)
+            triple = intersect(case.q1q2, embedded_j(case))
+            assert equal(triple, case.p2), (shape, char)
 
 
 def test_classification_spot_checks():
@@ -682,7 +697,8 @@ def test_basis_failure_agrees_with_all_pairs_on_the_grid(char):
     for m, n in default_grid():
         cf = closed_form_gb(Case(m, n, char))
         assert _basis_failure(cf) is None
-        assert is_groebner(cf) == (True, None)
+        assert assert_agrees_with_all_pairs(cf) == (True, None)
+        assert assert_agrees_with_all_pairs(_minimal_subset(cf)[0]) == (True, None)
 
 
 def _mutants(case, per_kind=4):
@@ -706,7 +722,7 @@ def test_basis_failure_agrees_with_all_pairs_on_mutants():
     for char in (0, 32003):
         for m, n in [(2, 5), (3, 4), (4, 5), (3, 7)]:
             for mutant in _mutants(Case(m, n, char)):
-                ok = is_groebner(mutant)[0]
+                ok = assert_agrees_with_all_pairs(mutant)[0]
                 assert (_basis_failure(mutant) is None) == ok, (m, n, char)
                 outcomes.append(ok)
     assert len(outcomes) == 96 and 0 < outcomes.count(False) < 96

@@ -36,7 +36,8 @@ a fieldwise maximum.
 `is_groebner` decides the Buchberger criterion without forming the pairs
 whose leading terms are coprime (Buchberger's first criterion, proved in
 its docstring); the all-pairs loop it replaced is kept in the tests as the
-reference it must agree with.
+reference it must agree with.  Interreduction and the verifier's basis
+check pick the minimal subset of a basis by one routine, `_minimal_indices`.
 
 Every routine reads one monic entry per basis element, (leading monomial,
 support mask, tail items), with the tail divided by the leading
@@ -310,14 +311,13 @@ def normal_form(f, G, order=None):
 
 
 class GroebnerBasis:
-    """An ordered Groebner basis together with minimality/reducedness flags."""
+    """An ordered Groebner basis together with its reducedness flag."""
 
-    __slots__ = ("elements", "order", "is_minimal", "is_reduced")
+    __slots__ = ("elements", "order", "is_reduced")
 
-    def __init__(self, elements, order=LEX, is_minimal=False, is_reduced=False):
+    def __init__(self, elements, order=LEX, is_reduced=False):
         self.elements = tuple(elements)
         self.order = order
-        self.is_minimal = is_minimal
         self.is_reduced = is_reduced
 
     def __iter__(self):
@@ -338,7 +338,7 @@ class GroebnerBasis:
         return hash((self.elements, self.order))
 
     def __repr__(self):
-        flags = "reduced" if self.is_reduced else ("minimal" if self.is_minimal else "raw")
+        flags = "reduced" if self.is_reduced else "raw"
         return f"GroebnerBasis({len(self.elements)} elements, {self.order.kind}, {flags})"
 
     def contains(self, f):
@@ -374,21 +374,32 @@ def _reduce_tails(red, ring, order):
     return out
 
 
+def _minimal_indices(lts, order, guard):
+    """Ascending indices of the lts no other divides, the first of equal ones.
+
+    A divisor comes no later under the order, so one stable ascending pass
+    tests each term against the minimal ones found before it.
+    """
+    key = order.key()
+    kept = []
+    kept_lts = []
+    for i in sorted(range(len(lts)), key=lambda i: key(lts[i])):
+        ltg = lts[i] | guard
+        for k in kept_lts:
+            if (ltg - k) & guard == guard:
+                break
+        else:
+            kept.append(i)
+            kept_lts.append(lts[i])
+    return sorted(kept)
+
+
 def _reduce_basis(red, ring, order):
     """Minimalize and interreduce reducer entries; returns entries, LT-descending."""
     key = order.key()
-    g = ring.guard
-    kept = []
-    kept_lts = []
-    for e in sorted(red, key=lambda e: key(e[0])):
-        ltg = e[0] | g
-        for k in kept_lts:
-            if (ltg - k) & g == g:
-                break
-        else:
-            kept.append(e)
-            kept_lts.append(e[0])
-    return _reduce_tails(kept, ring, order)[::-1]
+    kept = [red[i] for i in _minimal_indices([e[0] for e in red], order, ring.guard)]
+    kept.sort(key=lambda e: key(e[0]), reverse=True)
+    return _reduce_tails(kept, ring, order)
 
 
 def _minimal_lcms(lcms, lm, guard):
@@ -507,7 +518,7 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
     ring = _common_ring(gens)
     live = [g for g in gens if not g.is_zero]
     if not live:
-        return GroebnerBasis((), order, True, True)
+        return GroebnerBasis((), order, True)
     key = order.key()
     lexlike = order.is_lexlike
     guard = ring.guard
@@ -587,7 +598,7 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
         if d:
             e = entry(d)
             if not e[0]:
-                return GroebnerBasis((ring.one(),), order, True, True)  # a nonzero constant
+                return GroebnerBasis((ring.one(),), order, True)  # a nonzero constant
             entries.append(e)
     # from here on, the divisor memo of red (which only grows at its end);
     # dropping the entries' memo before the tail step keeps peak memory down
@@ -607,12 +618,12 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
         if r:
             e = entry(r)
             if not e[0]:
-                return GroebnerBasis((ring.one(),), order, True, True)
+                return GroebnerBasis((ring.one(),), order, True)
             add_element(e)
 
     if not reduce:
-        return GroebnerBasis(_monic_polys(red, ring), order, False, False)
-    return GroebnerBasis(_monic_polys(_reduce_basis(red, ring, order), ring), order, True, True)
+        return GroebnerBasis(_monic_polys(red, ring), order, False)
+    return GroebnerBasis(_monic_polys(_reduce_basis(red, ring, order), ring), order, True)
 
 
 def inter_reduce(polys, order=LEX):

@@ -19,19 +19,14 @@ class HankelMatrix:
 
     __slots__ = ("m", "n", "ring")
 
-    def __init__(self, m, n, char=0, ring=None):
+    def __init__(self, m, n, char=0):
         if m > n:
             m, n = n, m
         if m < 2:
             raise ValueError("need at least two rows and two columns")
-        nvars = m + n - 1
-        if ring is None:
-            ring = Ring(nvars, char)
-        elif ring.nvars != nvars:
-            raise ValueError(f"ring must have exactly {nvars} variables")
         self.m = m
         self.n = n
-        self.ring = ring
+        self.ring = Ring(m + n - 1, char)
 
     @property
     def shape(self):

@@ -67,7 +67,7 @@ class Ideal:
         b = self._cache.get(order)
         if b is None:
             if not self.generators:
-                b = GroebnerBasis((), order, True, True)
+                b = GroebnerBasis((), order, True)
             else:
                 b = buchberger(self.generators, order)
             self._cache[order] = b
@@ -135,7 +135,7 @@ def intersect(I, J):
     basis = buchberger(gens, LEX)
     bound = 1 << (ring.nvars * _BITS)
     elems = [restrict(e, ring) for e in basis if max(e._d) < bound]
-    found = GroebnerBasis(tuple(elems), LEX, True, True)
+    found = GroebnerBasis(tuple(elems), LEX, True)
     return Ideal(ring, elems, _basis=found)
 
 

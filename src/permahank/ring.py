@@ -224,6 +224,8 @@ class Ring:
         if self.char == 0:
             return Fraction(c)
         if isinstance(c, Fraction):
+            if c.denominator % self.char == 0:
+                raise ValueError(f"{c} has a denominator divisible by the characteristic {self.char}")
             return c.numerator * pow(c.denominator, -1, self.char) % self.char
         return int(c) % self.char
 
@@ -570,7 +572,8 @@ def parse(text, ring):
     "-3/2*x2^2*x5", "0".
 
     Raises ParseError (with a position) on malformed input, unknown
-    variables, or variable indices outside the ring.
+    variables, variable indices outside the ring, or a coefficient whose
+    denominator is divisible by the characteristic.
     """
     toks = _tokenize(text)
     i = 0
@@ -611,9 +614,11 @@ def _parse_term(toks, i, ring, sign, acc):
                 raise ParseError("zero denominator", a2)
             den = v2
             i += 1
+        c = Fraction(sign * num, den)
+        if ring.char and c.denominator % ring.char == 0:  # then so is den
+            raise ParseError(f"denominator {den} is divisible by the characteristic {ring.char}", a2)
         if toks[i][0] == "*":
             i = _parse_factors(toks, i + 1, ring, exps)
-        c = Fraction(sign * num, den)
     elif kind == "var":
         i = _parse_factors(toks, i, ring, exps)
         c = Fraction(sign)

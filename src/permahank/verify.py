@@ -16,6 +16,9 @@ For each admissible shape (m, n) the suite checks, over Q or GF(p):
 
 Every check returns a VerificationReport carrying a pass/fail status and,
 on failure, a machine-checkable witness.
+
+A check does not compute what the facts it checks already prove; the
+proof is in its docstring, and the computation lives on in the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .ring import _BITS, _FMASK, LEX, Polynomial
 from .groebner import (
+    _minimal_indices,
     inter_reduce,
     is_groebner,
     normal_form,  # unused here, but perfbench's tracer wraps verify.normal_form
@@ -308,46 +312,29 @@ def _set_mismatch(kind, got, want):
     return {"kind": kind, "extra": sorted(got - want), "missing": sorted(want - got)}
 
 
-def _minimal_subset(polys):
-    """(G', rest): the polys whose lex leading term no other's divides, and the others.
-
-    Of polys sharing a leading term, G' keeps the first.  Both lists keep
-    the input order.
-    """
-    ring = polys[0].ring
-    lts = [g._lm_packed(LEX) for g in polys]
-    kept = []  # minimal leading terms found so far, ascending
-    keep = set()
-    # a divisor of a leading term comes no later under the order, so the
-    # minimal ones before it decide
-    for i in sorted(range(len(polys)), key=lts.__getitem__):
-        if all(ring.mono_div(lts[i], k) is None for k in kept):
-            kept.append(lts[i])
-            keep.add(i)
-    minimal = [g for i, g in enumerate(polys) if i in keep]
-    rest = [g for i, g in enumerate(polys) if i not in keep]
-    return minimal, rest
-
-
 def _basis_failure(G):
     """None when the polys G form a Groebner basis, else a failure record.
 
-    G is checked through its minimal subset G' (see `_minimal_subset`),
-    whose leading terms generate the same monomial ideal as G's: G is a
-    Groebner basis exactly when G' passes the Buchberger criterion, every
-    pair included, and every element of G minus G' reduces to zero modulo
-    G'.  If both hold, G' is a Groebner basis of (G') and G lies in (G'),
-    so (G) = (G') and in((G)) = <lt G'> = <lt G>.  Conversely, if G is a
-    Groebner basis, in((G')) lies between <lt G'> and in((G)) = <lt G>,
-    which equals <lt G'>; so G' is a Groebner basis of (G'), and
-    (G') = (G), since one contains the other and both have the same
-    initial ideal.  Then both conditions hold.
+    G is checked through its minimal subset G': the polys whose lex
+    leading term no other's divides, the first of equal ones
+    (`groebner._minimal_indices`).  Their leading terms generate the same
+    monomial ideal as G's, and G is a Groebner basis exactly when G'
+    passes the Buchberger criterion, every pair included, and every
+    element of G minus G' reduces to zero modulo G'.  If both hold, G' is
+    a Groebner basis of (G') and G lies in (G'), so (G) = (G') and
+    in((G)) = <lt G'> = <lt G>.  Conversely, if G is a Groebner basis,
+    in((G')) lies between <lt G'> and in((G)) = <lt G>, which equals
+    <lt G'>; so G' is a Groebner basis of (G'), and (G') = (G), since one
+    contains the other and both have the same initial ideal.  Then both
+    conditions hold.
 
     A failing pair of G' gives `buchberger_criterion_fails`.  A nonzero
     remainder gives `nonminimal_element_not_reduced`: it is a nonzero
     element of (G) with no term divisible by a leading term of G.
     """
-    minimal, rest = _minimal_subset(G)
+    keep = set(_minimal_indices([g._lm_packed(LEX) for g in G], LEX, G[0].ring.guard))
+    minimal = [g for i, g in enumerate(G) if i in keep]
+    rest = [g for i, g in enumerate(G) if i not in keep]
     ok, wit = is_groebner(minimal)
     if not ok:
         f, g, r = wit
@@ -363,12 +350,17 @@ def _basis_failure(G):
 def verify_gb(case):
     """Check the closed-form basis claim for the case's shape.
 
-    Four sub-checks: every closed-form element lies in P2; the set is a
-    Groebner basis (`_basis_failure`); it generates exactly P2; and its
-    interreduction equals the engine's reduced basis.  Shapes whose
-    printed set is genuinely reduced ((2,3) and (3,3)) must additionally
-    match the reduced basis verbatim; for the others the literal
-    comparison is recorded in the detail field.
+    Three sub-checks: every closed-form element lies in P2; the set is a
+    Groebner basis (`_basis_failure`); and its interreduction equals the
+    engine's reduced basis.  Shapes whose printed set is genuinely
+    reduced ((2,3) and (3,3)) must additionally match the reduced basis
+    verbatim; for the others the literal comparison is recorded in the
+    detail field.
+
+    That G generates P2 needs no check: a G that passes `_basis_failure`
+    is a Groebner basis of (G), so `inter_reduce(G)` is the reduced basis
+    of (G), which is unique; equal to P2's, it gives (G) = P2.  So any
+    (G) != P2 fails as `interreduction_mismatch`.
     """
     t0 = time.perf_counter()
     claim = f"gb.{case.shape_class.value}"
@@ -385,11 +377,6 @@ def verify_gb(case):
     if failure is not None:
         failures.append(failure)
     if not failures:
-        nf_cf = reducer(cf)
-        for g in case.p2.generators:
-            if not nf_cf(g).is_zero:
-                failures.append({"kind": "ideal_not_generated", "generator": str(g)})
-                break
         interreduced = inter_reduce(cf)
         if tuple(interreduced) != reduced.elements:
             failures.append(_set_mismatch("interreduction_mismatch", interreduced, reduced))
@@ -562,9 +549,10 @@ def verify_associated_maximal(case):
     """Check the listed monomials alpha with (P2 : alpha) = (x1..xN).
 
     Every alpha must lie outside P2 while x_k * alpha lies in P2 for all
-    k; that forces the colon to be exactly the maximal ideal.  The first
-    alpha is additionally cross-checked with a full colon computation.
-    Returns None when the shape claims no such monomial.
+    k.  That proves the colon is m = (x1..xN), with no colon computed:
+    x_k * alpha in P2 for every k gives m inside (P2 : alpha), alpha
+    outside P2 gives 1 outside it, and m is maximal.  Returns None when
+    the shape claims no such monomial.
     """
     al = alphas(case)
     if al is None:
@@ -572,8 +560,7 @@ def verify_associated_maximal(case):
     t0 = time.perf_counter()
     claim = "assoc.maximal"
     failures = []
-    p2 = case.p2
-    nf_p2 = reducer(p2.reduced_basis())
+    nf_p2 = reducer(case.p2.reduced_basis())
     for a in al:
         if nf_p2(a).is_zero:
             failures.append({"kind": "alpha_inside_ideal", "alpha": str(a)})
@@ -584,8 +571,6 @@ def verify_associated_maximal(case):
                     {"kind": "alpha_colon_misses_variable", "alpha": str(a), "variable": f"x{k}"}
                 )
                 break
-    if not equal(colon(p2, al[0]), case.maximal_ideal):
-        failures.append({"kind": "full_colon_mismatch", "alpha": str(al[0])})
     detail = "alpha=" + ",".join(str(a) for a in al)
     return _report(claim, case, t0, failures, detail)
 

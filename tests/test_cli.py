@@ -339,6 +339,17 @@ def test_parse_error_is_usage_error(capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_denominator_divisible_by_the_characteristic_is_usage_error(tmp_path, capsys):
+    want = "error: denominator 3 is divisible by the characteristic 3 (position 2)\n"
+    rc, out, err = run(capsys, "nf", "1/3*x1", "--m", "2", "--n", "3", "--char", "3")
+    assert (rc, out, err) == (2, "", want)
+    doc = tmp_path / "i.json"
+    doc.write_text(json.dumps({"vars": 2, "char": 3, "generators": ["x1", "1/3*x2"]}))
+    assert run(capsys, "gb", "--in", str(doc)) == (2, "", want)
+    rc, _, err = run(capsys, "nf", "1/32003", "--m", "2", "--n", "3", "--char", "32003")
+    assert rc == 2 and "denominator 32003 is divisible by the characteristic 32003" in err
+
+
 def test_missing_file(capsys):
     rc, _, err = run(capsys, "gb", "--in", "/nonexistent/path.json")
     assert rc == 2

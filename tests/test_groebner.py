@@ -173,7 +173,7 @@ def test_normal_form_is_irreducible():
 def test_reduced_basis_2x3():
     B = buchberger(perms(2, 3))
     assert strs(B.elements) == sorted(BASIS_2X3)
-    assert B.is_minimal and B.is_reduced
+    assert B.is_reduced
 
 
 def test_reduced_basis_3x3():

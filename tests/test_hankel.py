@@ -32,14 +32,6 @@ def test_shape_normalization():
         HankelMatrix(1, 5)
 
 
-def test_ring_compatibility():
-    R = Ring(4)
-    M = HankelMatrix(2, 3, ring=R)
-    assert M.ring is R
-    with pytest.raises(ValueError):
-        HankelMatrix(2, 3, ring=Ring(5))
-
-
 def test_permanent_2x2():
     M = HankelMatrix(2, 3)
     rows = [[M.entry(1, 1), M.entry(1, 2)], [M.entry(2, 1), M.entry(2, 2)]]

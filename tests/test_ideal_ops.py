@@ -42,7 +42,7 @@ def R():
 
 @pytest.fixture
 def P2(R):
-    return Ideal(R, permanent_generators(HankelMatrix(2, 3, ring=R)))
+    return Ideal(R, permanent_generators(HankelMatrix(2, 3)))
 
 
 def strs(I):

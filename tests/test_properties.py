@@ -52,8 +52,8 @@ def polys(ring, max_terms=5, max_exp=4):
     return st.lists(term, max_size=max_terms).map(ring.poly)
 
 
-GB23 = buchberger(permanent_generators(HankelMatrix(2, 3, ring=R)))
-I23 = Ideal(R, permanent_generators(HankelMatrix(2, 3, ring=R)))
+GB23 = buchberger(permanent_generators(HankelMatrix(2, 3)))
+I23 = Ideal(R, permanent_generators(HankelMatrix(2, 3)))
 
 
 # -- monomial orders -----------------------------------------------------------

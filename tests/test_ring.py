@@ -321,6 +321,21 @@ def test_parse_char_p(R3):
     assert parse("1/2*x1", R3) == 2 * R3.var(1)
 
 
+def test_denominator_divisible_by_the_characteristic(R3):
+    # "1/3" has no value in GF(3); the error points at the denominator
+    for text, at, den in [("1/3*x1", 2, 3), ("x1 - 2/9", 7, 9), ("x2 + 4/6*x1", 7, 6)]:
+        with pytest.raises(ParseError) as e:
+            parse(text, R3)
+        assert e.value.position == at
+        assert f"denominator {den} is divisible by the characteristic 3" in str(e.value)
+    # a fraction that reduces to an integer has a value
+    assert parse("3/3*x1", R3) == R3.var(1)
+    with pytest.raises(ValueError, match="characteristic 3"):
+        R3.coeff(Fraction(1, 3))
+    with pytest.raises(ValueError, match="characteristic 32003"):
+        parse("1/32003", Ring(2, 32003))
+
+
 def test_parse_errors_carry_position(R):
     with pytest.raises(ParseError) as e:
         parse("x1 + x9", R)

@@ -45,9 +45,10 @@ from permahank.verify import (
     VerificationReport,
     _basis_failure,
     _colon_witnesses,
-    _minimal_subset,
     _report,
 )
+from permahank.groebner import _minimal_indices
+from permahank.ring import DEGLEX, LEX
 from test_groebner import assert_agrees_with_all_pairs
 
 
@@ -193,14 +194,40 @@ def test_alpha_lists():
 
 
 def test_alpha_witness_behavior():
-    # x1*x3*x5 sits outside the 3x3 ideal, every variable multiple inside
+    # each alpha sits outside P2 with every variable multiple inside; assoc.maximal
+    # derives (P2 : alpha) = m from that, and the full colon cross-checks it here
+    shapes = 0
+    for char in (0, 32003):
+        for shape in default_grid():
+            case = Case(*shape, char)
+            al = alphas(case)
+            if al is None:
+                continue
+            shapes += 1
+            p2 = case.p2
+            nf = reducer(p2.reduced_basis())
+            for a in al:
+                assert not nf(a).is_zero
+                for k in range(1, case.nvars + 1):
+                    assert nf(case.x(k) * a).is_zero
+            assert equal(colon(p2, al[0]), case.maximal_ideal), (shape, char)
+    assert shapes == 2 * 25
+
+
+def test_assoc_reports_an_alpha_inside_the_ideal_and_a_missed_variable(monkeypatch):
+    # on 3x3, x1*x3*x4 lies in P2; x1*x5 does not, nor does x3*x1*x5, the shape's alpha
     case = Case(3, 3)
-    a = alphas(case)[0]
-    p2 = case.p2
-    assert a not in p2
-    for k in range(1, 6):
-        assert case.x(k) * a in p2
-    assert equal(colon(p2, a), case.maximal_ideal)
+    x = case.x
+    al = [x(1) * x(3) * x(5), x(1) * x(3) * x(4), x(1) * x(5)]
+    monkeypatch.setattr("permahank.verify.alphas", lambda c: al)
+    rep = verify_associated_maximal(case)
+    assert rep.witness == {
+        "failures": [
+            {"kind": "alpha_inside_ideal", "alpha": "x1*x3*x4"},
+            {"kind": "alpha_colon_misses_variable", "alpha": "x1*x5", "variable": "x3"},
+        ]
+    }
+    assert rep.detail == "alpha=x1*x3*x5,x1*x3*x4,x1*x5"
 
 
 def test_rewrite_oracle_pairs():
@@ -682,14 +709,38 @@ def test_non_primary_homogeneous_component_fails(monkeypatch):
 # -- gb: the Buchberger criterion on the minimal subset -----------------------------
 
 
+def _minimal(G, order=LEX):
+    """The elements of G that `_minimal_indices` keeps, in G's order."""
+    lts = [g._lm_packed(order) for g in G]
+    return [G[i] for i in _minimal_indices(lts, order, G[0].ring.guard)]
+
+
 def test_minimal_subset_keeps_the_first_of_each_minimal_leading_term():
     ring = Case(2, 3).ring
     polys = [parse(t, ring) for t in ("x1*x2 + x3^2", "x1*x2", "x1 + x3", "x1", "x2^2", "x2^2*x3")]
-    minimal, rest = _minimal_subset(polys)
-    assert [str(g) for g in minimal] == ["x1 + x3", "x2^2"]
-    assert [str(g) for g in rest] == ["x1*x2 + x3^2", "x1*x2", "x1", "x2^2*x3"]
-    sizes = {s: len(_minimal_subset(closed_form_gb(Case(*s)))[0]) for s in [(3, 4), (4, 5)]}
+    lts = [g._lm_packed(LEX) for g in polys]
+    assert _minimal_indices(lts, LEX, ring.guard) == [2, 4]
+    assert [str(g) for g in _minimal(polys)] == ["x1 + x3", "x2^2"]
+    sizes = {s: len(_minimal(closed_form_gb(Case(*s)))) for s in [(3, 4), (4, 5)]}
     assert sizes == {(3, 4): 16, (4, 5): 32}
+
+
+@pytest.mark.parametrize("order", [LEX, DEGLEX], ids=["lex", "deglex"])
+def test_minimal_indices_match_a_divisor_scan_on_the_grid(order):
+    # index i is kept exactly when no other leading term divides lt i, save an
+    # equal one after i
+    for shape in default_grid():
+        cf = closed_form_gb(Case(*shape))
+        ring = cf[0].ring
+        lts = [g._lm_packed(order) for g in cf]
+        scan = [
+            i for i, a in enumerate(lts)
+            if not any(
+                ring.mono_div(a, b) is not None and (b != a or j < i)
+                for j, b in enumerate(lts) if j != i
+            )
+        ]
+        assert _minimal_indices(lts, order, ring.guard) == scan, shape
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -698,7 +749,7 @@ def test_basis_failure_agrees_with_all_pairs_on_the_grid(char):
         cf = closed_form_gb(Case(m, n, char))
         assert _basis_failure(cf) is None
         assert assert_agrees_with_all_pairs(cf) == (True, None)
-        assert assert_agrees_with_all_pairs(_minimal_subset(cf)[0]) == (True, None)
+        assert assert_agrees_with_all_pairs(_minimal(cf)) == (True, None)
 
 
 def _mutants(case, per_kind=4):
@@ -755,3 +806,37 @@ def test_gb_reports_a_nonminimal_element_with_a_remainder(monkeypatch):
             },
         ]
     }
+
+
+def test_gb_catches_a_closed_form_that_misses_a_permanent(monkeypatch):
+    # without x1*x3 + x2^2 the 3x4 closed form is still a Groebner basis, of a
+    # smaller ideal: the interreduction comparison is what tells
+    case = Case(3, 4)
+    cf = [g for g in closed_form_gb(case) if str(g) != "x1*x3 + x2^2"]
+    monkeypatch.setattr("permahank.verify.closed_form_gb", lambda c: cf)
+    assert _basis_failure(cf) is None
+    assert verify_gb(case).witness == {
+        "kind": "interreduction_mismatch",
+        "extra": [],
+        "missing": ["x1*x3 + x2^2"],
+    }
+
+
+def test_gb_fails_every_closed_form_that_misses_a_generator_of_p2(monkeypatch):
+    # drop each permanent in turn: whenever the rest is a Groebner basis of an
+    # ideal that misses a generator of P2, gb.* fails as interreduction_mismatch
+    caught = 0
+    for char in (0, 32003):
+        for shape in [(2, 5), (3, 3), (3, 4), (4, 5)]:
+            case = Case(*shape, char)
+            cf = closed_form_gb(case)
+            for p in case.p2.generators:
+                G = [g for g in cf if g != p]
+                monkeypatch.setattr("permahank.verify.closed_form_gb", lambda c: G)
+                rep = verify_gb(case)
+                nf = reducer(G)
+                if _basis_failure(G) is None and any(not nf(g).is_zero for g in case.p2.generators):
+                    kinds = [f["kind"] for f in rep.witness.get("failures", [rep.witness])]
+                    assert "interreduction_mismatch" in kinds, (shape, char, str(p))
+                    caught += 1
+    assert caught == 24

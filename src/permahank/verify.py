@@ -31,7 +31,6 @@ from itertools import combinations, combinations_with_replacement
 
 from .ring import _BITS, _FMASK, LEX, Polynomial
 from .groebner import (
-    _minimal_indices,
     inter_reduce,
     is_groebner,
     normal_form,  # unused here, but perfbench's tracer wraps verify.normal_form
@@ -312,35 +311,36 @@ def _set_mismatch(kind, got, want):
     return {"kind": kind, "extra": sorted(got - want), "missing": sorted(want - got)}
 
 
-def _basis_failure(G):
+def _basis_failure(G, H=None):
     """None when the polys G form a Groebner basis, else a failure record.
 
-    G is checked through its minimal subset G': the polys whose lex
-    leading term no other's divides, the first of equal ones
-    (`groebner._minimal_indices`).  Their leading terms generate the same
-    monomial ideal as G's, and G is a Groebner basis exactly when G'
-    passes the Buchberger criterion, every pair included, and every
-    element of G minus G' reduces to zero modulo G'.  If both hold, G' is
-    a Groebner basis of (G') and G lies in (G'), so (G) = (G') and
-    in((G)) = <lt G'> = <lt G>.  Conversely, if G is a Groebner basis,
-    in((G')) lies between <lt G'> and in((G)) = <lt G>, which equals
-    <lt G'>; so G' is a Groebner basis of (G'), and (G') = (G), since one
-    contains the other and both have the same initial ideal.  Then both
-    conditions hold.
+    H is `inter_reduce(G)`, computed here unless the caller has it.  G is a
+    Groebner basis exactly when H passes the Buchberger criterion and
+    every element of G reduces to zero modulo H.  H holds G's minimal
+    elements (those whose lex leading term no other's divides, the first
+    of equal ones), made monic, with their tails reduced by one another.
+    Tail reduction keeps each leading term, so H lies in (G) and
+    <lt H> = <lt G>.  If both conditions hold, H is a Groebner basis of
+    (H), and G lies in (H), so (H) = (G) and in((G)) = <lt H> = <lt G>.
+    Conversely, if G is a Groebner basis, H lies in (G) and its leading
+    terms generate in((G)) = <lt G>, so H is a Groebner basis of (G)
+    (Cox-Little-O'Shea, ch. 2 §5): it passes the criterion, and every
+    element of G, lying in (G) = (H), reduces to zero modulo H.  Most of
+    H is monomials, and a pair of two monomials has no S-polynomial.
 
-    A failing pair of G' gives `buchberger_criterion_fails`.  A nonzero
-    remainder gives `nonminimal_element_not_reduced`: it is a nonzero
-    element of (G) with no term divisible by a leading term of G.
+    A failing pair of H gives `buchberger_criterion_fails`.  A nonzero
+    remainder of an element of G gives `nonminimal_element_not_reduced`:
+    it is a nonzero element of (G) with no term divisible by a leading
+    term of G.
     """
-    keep = set(_minimal_indices([g._lm_packed(LEX) for g in G], LEX, G[0].ring.guard))
-    minimal = [g for i, g in enumerate(G) if i in keep]
-    rest = [g for i, g in enumerate(G) if i not in keep]
-    ok, wit = is_groebner(minimal)
+    if H is None:
+        H = inter_reduce(G)
+    ok, wit = is_groebner(H)
     if not ok:
         f, g, r = wit
         return {"kind": "buchberger_criterion_fails", "pair": [str(f), str(g)], "remainder": str(r)}
-    nf = reducer(minimal)
-    for g in rest:
+    nf = reducer(H)
+    for g in G:
         r = nf(g)
         if not r.is_zero:
             return {"kind": "nonminimal_element_not_reduced", "element": str(g), "remainder": str(r)}
@@ -373,11 +373,11 @@ def verify_gb(case):
         if not nf_p2(g).is_zero:
             failures.append({"kind": "element_outside_ideal", "element": str(g)})
             break
-    failure = _basis_failure(cf)
+    interreduced = inter_reduce(cf)
+    failure = _basis_failure(cf, interreduced)
     if failure is not None:
         failures.append(failure)
     if not failures:
-        interreduced = inter_reduce(cf)
         if tuple(interreduced) != reduced.elements:
             failures.append(_set_mismatch("interreduction_mismatch", interreduced, reduced))
     literal = frozenset(cf) == frozenset(reduced.elements)
@@ -393,18 +393,66 @@ def verify_gb(case):
     return _report(claim, case, t0, failures, detail)
 
 
+def _radical_test(case, I):
+    """f -> whether f lies in rad(I), with I's lex basis built only when needed.
+
+    Two sufficient tests come first.  A term f whose variables are those
+    of a term generator g of I is in rad(I), since g divides a power of
+    f.  When every generator of P2 is one of I's, P2 lies in I, so f in
+    rad(P2) puts f in rad(I); that is decided against P2's cached lex
+    basis.  Where neither settles it, `radical_member(f, I)` decides, so
+    the answer is always exact.
+    """
+    ring = case.ring
+    supports = {ring.support(m) for g in I.generators if len(g) == 1 for m in g._d}
+    gens = set(I.generators)
+    p2 = case.p2 if all(g in gens for g in case.p2.generators) else None
+
+    def member(f):
+        return (
+            (len(f) == 1 and ring.support(f._lm_packed(LEX)) in supports)
+            or (p2 is not None and radical_member(f, p2))
+            or radical_member(f, I)
+        )
+
+    return member
+
+
+def _alpha_shows_embedded(case):
+    """Whether a listed alpha shows (P2 : x_N^inf) cap ((P2 + (x_N^2)) : x1^inf) != P2.
+
+    Those are the two saturations decompose computes, N = r + 1.  An alpha
+    outside P2 with x_N * alpha in P2 lies in the first; with x1 * alpha in
+    P2, inside P2 + (x_N^2), it lies in the second.  The intersection
+    always contains P2, and alpha then shows it is larger.  No primality
+    is needed.  False decides nothing.
+    """
+    al = alphas(case)
+    if al is None:
+        return False
+    nf = reducer(case.p2.reduced_basis())
+    x1, xn = case.x(1), case.x(case.nvars)
+    return any(
+        not nf(a).is_zero and nf(x1 * a).is_zero and nf(xn * a).is_zero for a in al
+    )
+
+
 def verify_decomposition(case):
     """Check P2 = Q1 cap Q2 cap J on the components decompose computes.
 
-    Q1 and Q2 come from decomposition_summary, whose saturate computes
-    c_{k+1} = (c_k : f).  Since ((I : f^k) : f) = (I : f^(k+1)), it returns
-    S = (I : f^n) with (I : f^n) = (I : f^(n+1)), and the chain is stable
-    from n on.  So S = Q1 with n <= 2 is the claim
+    Q1 and Q2 come from `_saturations`, as in decomposition_summary, whose
+    saturate computes c_{k+1} = (c_k : f).  Since ((I : f^k) : f) = (I : f^(k+1)),
+    it returns S = (I : f^n) with (I : f^n) = (I : f^(n+1)), and the chain
+    is stable from n on.  So S = Q1 with n <= 2 is the claim
     (P2 : x_N^2) = (P2 : x_N^infinity) = Q1, N = r + 1, and likewise
-    ((P2 + (x_N^2)) : x1^2) = ((P2 + (x_N^2)) : x1^infinity) = Q2.  Also
-    asserts that the radical of J is the full maximal ideal.  The detail
-    records whether J is genuinely embedded (Q1 cap Q2 != P2) for this
-    shape.
+    ((P2 + (x_N^2)) : x1^2) = ((P2 + (x_N^2)) : x1^infinity) = Q2.
+
+    Also asserts that J is proper, which it is when no generator has a
+    constant term (J then lies in the maximal ideal; only otherwise is
+    `is_unit` asked), and that each x_k lies in rad(J), by `_radical_test`.
+    The detail records whether J is genuinely embedded, Q1 cap Q2 != P2:
+    by `_alpha_shows_embedded` where it finds an alpha, else by
+    `classify_embedded`.  Once the q1 and q2 checks pass, the two agree.
 
     The triple intersection is not computed: the checks above prove it.
     The splitting lemma (Gianni-Trager-Zacharias, J. Symb. Comp. 6, 1988)
@@ -418,35 +466,42 @@ def verify_decomposition(case):
     t0 = time.perf_counter()
     claim = "decomp.main"
     failures = []
-    s = decomposition_summary(case)
-    J = s["j"]
+    Q1, stab1, Q2, stab2 = _saturations(case)
+    J = embedded_j(case)
 
-    for tag, closed in (("q1", q1(case)), ("q2", q2(case))):
-        if not equal(s[tag], closed):
-            w = why_unequal(s[tag], closed)
+    for tag, got, stab, closed in (("q1", Q1, stab1, q1(case)), ("q2", Q2, stab2, q2(case))):
+        if not equal(got, closed):
+            w = why_unequal(got, closed)
             failures.append({"kind": f"{tag}_mismatch", "witness": str(w)})
-        if s[f"{tag}_stab"] > 2:
+        if stab > 2:
             failures.append({"kind": f"{tag}_chain_not_stable"})
 
-    if J.is_unit:
+    if any(0 in g._d for g in J.generators) and J.is_unit:  # 0 packs the constant monomial
         failures.append({"kind": "j_is_unit_ideal"})
     else:
+        in_radical = _radical_test(case, J)
         for k in range(1, case.nvars + 1):
-            if not radical_member(case.x(k), J):
+            if not in_radical(case.x(k)):
                 failures.append({"kind": "radical_misses_variable", "variable": f"x{k}"})
                 break
 
-    embedded = not s["j_redundant"]
-    detail = (
-        f"q1_stab={s['q1_stab']} q2_stab={s['q2_stab']} "
-        f"embedded={'yes' if embedded else 'no'}"
-    )
+    embedded = _alpha_shows_embedded(case) or classify_embedded(case)
+    detail = f"q1_stab={stab1} q2_stab={stab2} embedded={'yes' if embedded else 'no'}"
     return _report(claim, case, t0, failures, detail)
 
 
 def classify_embedded(case):
     """Whether J contributes an embedded component: Q1 cap Q2 != P2."""
     return not equal(case.q1q2, case.p2)
+
+
+def _saturations(case):
+    """(Q1, stab1, Q2, stab2): P2 saturated at x_N, then P2 + (x_N^2) at x1."""
+    p2 = case.p2
+    f = case.x(case.r + 1)
+    Q1, stab1 = saturate(p2, f)
+    Q2, stab2 = saturate(p2 + f * f, case.x(1))
+    return Q1, stab1, Q2, stab2
 
 
 def decomposition_summary(case):
@@ -457,11 +512,7 @@ def decomposition_summary(case):
     stabilization exponents are the saturation step counts.  J is
     redundant exactly when Q1 cap Q2 already equals P2.
     """
-    p2 = case.p2
-    f = case.x(case.r + 1)
-    g = case.x(1)
-    Q1, stab1 = saturate(p2, f)
-    Q2, stab2 = saturate(p2 + f * f, g)
+    Q1, stab1, Q2, stab2 = _saturations(case)
     return {
         "q1": Q1,
         "q2": Q2,
@@ -488,13 +539,25 @@ def _colon_witnesses(case):
     return out
 
 
+def _colon_fixes(Q, y):
+    """Whether (Q : y) = Q, with no basis of the colon built.
+
+    Q always lies in (Q : y), so the two are equal exactly when every
+    generator of `colon(Q, y)` reduces to zero modulo Q's cached lex basis.
+    """
+    nf = reducer(Q.reduced_basis())
+    return all(nf(g).is_zero for g in colon(Q, y).generators)
+
+
 def verify_primary_properties(case):
     """Primary-component battery for (Q1, Q2, J) against their primes.
 
     For each pair (Q, P): every generator of P lies in rad(Q), Q sits
     inside P (so rad(Q) = P), and (Q : y) = Q for each variable y not in
-    P.  When Q has homogeneous generators and P, generated by variables,
-    misses at most one of them, this proves Q P-primary:
+    P.  The radical goes through `_radical_test`, so J's lex basis is not
+    built, and the colon through `_colon_fixes`, which builds no basis of
+    the colon.  When Q has homogeneous generators and P, generated by
+    variables, misses at most one of them, this proves Q P-primary:
 
     * Q1 and Q2.  P is generated by every variable but x_k.  The
       associated primes of a homogeneous Q are homogeneous (Eisenbud,
@@ -515,8 +578,9 @@ def verify_primary_properties(case):
     failures = []
     for label, Q, P, variables in _colon_witnesses(case):
         nf_p = reducer(P.reduced_basis())
+        in_radical = _radical_test(case, Q)
         for v in P.generators:
-            if not radical_member(v, Q):
+            if not in_radical(v):
                 failures.append(
                     {"kind": "prime_generator_outside_radical", "component": label, "generator": str(v)}
                 )
@@ -537,7 +601,7 @@ def verify_primary_properties(case):
             })
         for y in variables:
             assert not nf_p(y).is_zero, "witness accidentally inside the prime"
-            if not equal(colon(Q, y), Q):
+            if not _colon_fixes(Q, y):
                 failures.append(
                     {"kind": "colon_moves_component", "component": label, "y": str(y)}
                 )

@@ -41,13 +41,17 @@ from permahank import (
     verify_reduction_lemma,
 )
 from permahank.ideal_ops import _has_homogeneous_generators
+from permahank.ideal_ops import radical_member
 from permahank.verify import (
     VerificationReport,
+    _alpha_shows_embedded,
     _basis_failure,
+    _colon_fixes,
     _colon_witnesses,
+    _radical_test,
     _report,
 )
-from permahank.groebner import _minimal_indices
+from permahank.groebner import GroebnerBasis, _minimal_indices
 from permahank.ring import DEGLEX, LEX
 from test_groebner import assert_agrees_with_all_pairs
 
@@ -368,20 +372,21 @@ def test_report_shape():
 def test_gb_mismatch_lists_extra_and_missing(monkeypatch):
     case = Case(3, 3)  # its closed form is literally the reduced basis
     cf = closed_form_gb(case)
-    reduced = case.p2.reduced_basis().elements
     extra = case.x(2) * cf[0]
     with monkeypatch.context() as mp:
         mp.setattr("permahank.verify.closed_form_gb", lambda c: cf + [extra])
         rep = verify_gb(case)
     assert rep.witness == {"kind": "literal_set_mismatch", "extra": [str(extra)], "missing": []}
+    # a reduced basis of P2 with one more element: the closed form passes the
+    # basis check, and its interreduction misses that element (3x4 is not
+    # held to the literal set)
+    case = Case(3, 4)
+    reduced = case.p2.reduced_basis().elements
+    more = GroebnerBasis(reduced + (case.x(6) ** 9,), LEX, True)
     with monkeypatch.context() as mp:
-        mp.setattr("permahank.verify.inter_reduce", lambda polys: reduced[1:])
+        mp.setitem(case.p2._cache, LEX, more)
         rep = verify_gb(case)
-    assert rep.witness == {
-        "kind": "interreduction_mismatch",
-        "extra": [],
-        "missing": [str(reduced[0])],
-    }
+    assert rep.witness == {"kind": "interreduction_mismatch", "extra": [], "missing": ["x6^9"]}
 
 
 def test_report_failure_path():
@@ -706,7 +711,7 @@ def test_non_primary_homogeneous_component_fails(monkeypatch):
     assert rep.witness == {"kind": "colon_moves_component", "component": "q1", "y": "x4"}
 
 
-# -- gb: the Buchberger criterion on the minimal subset -----------------------------
+# -- gb: the Buchberger criterion on the interreduced closed form ------------------
 
 
 def _minimal(G, order=LEX):
@@ -743,13 +748,32 @@ def test_minimal_indices_match_a_divisor_scan_on_the_grid(order):
         assert _minimal_indices(lts, order, ring.guard) == scan, shape
 
 
+def reference_basis_failure(G):
+    """The basis check through the minimal subset G', with every pair of G'.
+
+    G is a Groebner basis exactly when G' passes the Buchberger criterion
+    and every other element of G reduces to zero modulo G'.  This is the
+    check `verify._basis_failure` replaced, kept as its reference.
+    """
+    keep = set(_minimal_indices([g._lm_packed(LEX) for g in G], LEX, G[0].ring.guard))
+    minimal = [g for i, g in enumerate(G) if i in keep]
+    ok, wit = assert_agrees_with_all_pairs(minimal)
+    if not ok:
+        return {"kind": "buchberger_criterion_fails", "pair": [str(wit[0]), str(wit[1])]}
+    nf = reducer(minimal)
+    for g in (g for i, g in enumerate(G) if i not in keep):
+        if not nf(g).is_zero:
+            return {"kind": "nonminimal_element_not_reduced", "element": str(g)}
+    return None
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 def test_basis_failure_agrees_with_all_pairs_on_the_grid(char):
     for m, n in default_grid():
         cf = closed_form_gb(Case(m, n, char))
         assert _basis_failure(cf) is None
+        assert reference_basis_failure(cf) is None
         assert assert_agrees_with_all_pairs(cf) == (True, None)
-        assert assert_agrees_with_all_pairs(_minimal(cf)) == (True, None)
 
 
 def _mutants(case, per_kind=4):
@@ -775,19 +799,23 @@ def test_basis_failure_agrees_with_all_pairs_on_mutants():
             for mutant in _mutants(Case(m, n, char)):
                 ok = assert_agrees_with_all_pairs(mutant)[0]
                 assert (_basis_failure(mutant) is None) == ok, (m, n, char)
+                assert (reference_basis_failure(mutant) is None) == ok, (m, n, char)
                 outcomes.append(ok)
     assert len(outcomes) == 96 and 0 < outcomes.count(False) < 96
 
 
 def test_gb_reports_a_failing_pair(monkeypatch):
+    # the pair is of interreduced elements: x1*x5 - x3^2 is the closed form's
+    # x1*x5 + x2*x4 with its tail reduced
     case = Case(2, 4)
-    cf = [g for g in closed_form_gb(case) if str(g) != "x2^4"]
+    cf = [g for g in closed_form_gb(case) if str(g) != "x2*x5 + x3*x4"]
     monkeypatch.setattr("permahank.verify.closed_form_gb", lambda c: cf)
     assert verify_gb(case).witness == {
         "kind": "buchberger_criterion_fails",
-        "pair": ["x1*x3 + x2^2", "x2^2*x3"],
-        "remainder": "x2^4",
+        "pair": ["x1*x3 + x2^2", "x1*x5 - x3^2"],
+        "remainder": "x2^2*x5",
     }
+    assert reference_basis_failure(cf)["pair"] == ["x1*x3 + x2^2", "x1*x5 + x2*x4"]
 
 
 def test_gb_reports_a_nonminimal_element_with_a_remainder(monkeypatch):
@@ -835,8 +863,113 @@ def test_gb_fails_every_closed_form_that_misses_a_generator_of_p2(monkeypatch):
                 monkeypatch.setattr("permahank.verify.closed_form_gb", lambda c: G)
                 rep = verify_gb(case)
                 nf = reducer(G)
+                assert (_basis_failure(G) is None) == (reference_basis_failure(G) is None)
                 if _basis_failure(G) is None and any(not nf(g).is_zero for g in case.p2.generators):
                     kinds = [f["kind"] for f in rep.witness.get("failures", [rep.witness])]
                     assert "interreduction_mismatch" in kinds, (shape, char, str(p))
                     caught += 1
     assert caught == 24
+
+
+# -- decomp and primary: shortcuts against the paths they replace ----------------
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_alpha_flag_agrees_with_classify_embedded(char):
+    for shape in default_grid():
+        case = Case(*shape, char)
+        flagged = _alpha_shows_embedded(case)
+        assert flagged == classify_embedded(case), shape
+        assert flagged == (alphas(case) is not None), shape
+
+
+def test_alpha_flag_needs_all_three_conditions(monkeypatch):
+    # on 2x3, where J is redundant: x1*x2 has only x4 * alpha in P2, x2*x4 only
+    # x1 * alpha, and x1*x3*x4 lies in P2; none shows an embedded component
+    case = Case(2, 3)
+    x = case.x
+    fake = [x(1) * x(2), x(2) * x(4), x(1) * x(3) * x(4)]
+    monkeypatch.setattr("permahank.verify.alphas", lambda c: fake)
+    assert not _alpha_shows_embedded(case)
+    rep = verify_decomposition(case)
+    assert rep.passed and rep.detail == "q1_stab=2 q2_stab=1 embedded=no"
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
+    # on a passing shape: no intersection where an alpha shows the embedded
+    # component, and no lex basis of J or of a colon ideal
+    cases, meets, colons = [], [], []
+    monkeypatch.setattr("permahank.verify.run_case", _counting(cases, run_case))
+    monkeypatch.setattr("permahank.verify.intersect", _counting(meets, intersect))
+
+    def recording_colon(I, f):
+        colons.append(colon(I, f))
+        return colons[-1]
+
+    monkeypatch.setattr("permahank.verify.colon", recording_colon)
+    for shape in default_grid():
+        for calls in (cases, meets, colons):
+            calls.clear()
+        assert all(r.passed for r in run_all([shape], char)), shape
+        (case, _), = cases
+        assert len(meets) == (0 if alphas(case) else 1), shape
+        assert case.j._cache == {}, shape
+        assert len(colons) == 2 and all(LEX not in C._cache for C in colons), shape
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_radical_test_agrees_with_radical_member(char):
+    for shape in default_grid():
+        case = Case(*shape, char)
+        J = embedded_j(case)
+        in_radical = _radical_test(case, J)
+        reference = Ideal(case.ring, J.generators)
+        for k in range(1, case.nvars + 1):
+            assert in_radical(case.x(k)) == radical_member(case.x(k), reference), (shape, k)
+
+
+def test_radical_test_falls_back_without_p2s_generators(monkeypatch):
+    case = Case(3, 4)
+    x, p2 = case.x, case.p2
+    asked = []
+    monkeypatch.setattr("permahank.verify.radical_member", _counting(asked, radical_member))
+    # P2's generators in another order, as a new list: the shortcut through P2
+    same = Ideal(case.ring, p2.generators[::-1] + (x(1) ** 2, x(6) ** 2))
+    assert all(_radical_test(case, same)(x(k)) for k in range(1, 7))
+    assert {id(I) for _, I in asked} == {id(p2)}
+    # one permanent short: every interior variable falls back to radical_member on J
+    asked.clear()
+    short = Ideal(case.ring, p2.generators[1:] + (x(1) ** 2, x(6) ** 2))
+    in_radical = _radical_test(case, short)
+    got = [in_radical(x(k)) for k in range(1, 7)]
+    assert [str(f) for f, I in asked if I is short] == ["x2", "x3", "x4", "x5"]
+    assert all(I is short for _, I in asked)
+    assert got == [radical_member(x(k), Ideal(case.ring, short.generators)) for k in range(1, 7)]
+
+
+def test_decomposition_fails_a_unit_j(monkeypatch):
+    # a generator with a constant term makes J the unit ideal: 1 = (1 + x1)(1 - x1) + x1^2
+    case = Case(3, 4)
+    x = case.x
+    unit = Ideal(case.ring, case.j.generators + (1 + x(1),))
+    monkeypatch.setattr("permahank.verify.embedded_j", lambda c: unit)
+    rep = verify_decomposition(case)
+    assert rep.witness == {"kind": "j_is_unit_ideal"}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_colon_containment_agrees_with_equality(char):
+    colons = 0
+    for shape in default_grid():
+        case = Case(*shape, char)
+        for label, Q, P, variables in _colon_witnesses(case):
+            for y in variables:
+                assert _colon_fixes(Q, y) == equal(colon(Q, y), Q), (shape, label)
+                colons += 1
+    assert colons == 2 * 29
+    # and on a component that a variable colon moves
+    case = Case(2, 3, char)
+    x = case.x
+    Q = Ideal(case.ring, [x(1), x(2), x(3) ** 2, x(3) * x(4)])
+    assert _colon_fixes(Q, x(4)) is equal(colon(Q, x(4)), Q) is False

@@ -339,9 +339,13 @@ def test_classification_spot_checks():
 
 
 def test_classification_matches_alpha_availability():
-    for m, n in default_grid():
-        case = Case(m, n)
-        assert (alphas(case) is None) == (not classify_embedded(case))
+    # decomp.main's alpha flag must agree with the intersection it replaces
+    for char in (0, 32003):
+        for m, n in default_grid():
+            case = Case(m, n, char)
+            embedded = classify_embedded(case)
+            assert (alphas(case) is not None) == embedded, (m, n, char)
+            assert _alpha_shows_embedded(case) == embedded, (m, n, char)
 
 
 def test_individual_checks_pass():
@@ -872,15 +876,6 @@ def test_gb_fails_every_closed_form_that_misses_a_generator_of_p2(monkeypatch):
 
 
 # -- decomp and primary: shortcuts against the paths they replace ----------------
-
-
-@pytest.mark.parametrize("char", [0, 32003])
-def test_alpha_flag_agrees_with_classify_embedded(char):
-    for shape in default_grid():
-        case = Case(*shape, char)
-        flagged = _alpha_shows_embedded(case)
-        assert flagged == classify_embedded(case), shape
-        assert flagged == (alphas(case) is not None), shape
 
 
 def test_alpha_flag_needs_all_three_conditions(monkeypatch):

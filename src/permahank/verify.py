@@ -6,7 +6,8 @@ For each admissible shape (m, n) the suite checks, over Q or GF(p):
 * the shape's closed-form lex Groebner basis (four families, selected by
   shape class);
 * the component decomposition P2 = Q1 cap Q2 cap J with its colon chains
-  and stabilization exponents, and the radical of J;
+  and stabilization exponents, and the radical of J, proved from leading
+  terms (`_outside_radical`);
 * primary-component properties (radical containments, colon stability);
 * monomials whose colon with P2 is the whole maximal ideal;
 * index-rewriting identities: quadratic and cubic monomials reduce to
@@ -350,17 +351,18 @@ def _basis_failure(G, H=None):
 def verify_gb(case):
     """Check the closed-form basis claim for the case's shape.
 
-    Three sub-checks: every closed-form element lies in P2; the set is a
-    Groebner basis (`_basis_failure`); and its interreduction equals the
-    engine's reduced basis.  Shapes whose printed set is genuinely
-    reduced ((2,3) and (3,3)) must additionally match the reduced basis
-    verbatim; for the others the literal comparison is recorded in the
-    detail field.
+    Two sub-checks: the closed form G is a Groebner basis
+    (`_basis_failure`), and its interreduction equals the engine's reduced
+    basis of P2.  Shapes whose printed set is genuinely reduced ((2,3) and
+    (3,3)) must additionally match the reduced basis verbatim; for the
+    others the literal comparison is recorded in the detail field.
 
-    That G generates P2 needs no check: a G that passes `_basis_failure`
-    is a Groebner basis of (G), so `inter_reduce(G)` is the reduced basis
-    of (G), which is unique; equal to P2's, it gives (G) = P2.  So any
-    (G) != P2 fails as `interreduction_mismatch`.
+    That G generates P2, and so lies in it, needs no check: a G that
+    passes `_basis_failure` is a Groebner basis of (G), so `inter_reduce(G)`
+    is the reduced basis of (G), which is unique; equal to P2's, it gives
+    (G) = P2, which contains G.  So any (G) != P2 fails as
+    `interreduction_mismatch`, and an element of G outside P2 fails one of
+    the two sub-checks.
     """
     t0 = time.perf_counter()
     claim = f"gb.{case.shape_class.value}"
@@ -368,18 +370,12 @@ def verify_gb(case):
     reduced = case.p2.reduced_basis()
     failures = []
 
-    nf_p2 = reducer(reduced)
-    for g in cf:
-        if not nf_p2(g).is_zero:
-            failures.append({"kind": "element_outside_ideal", "element": str(g)})
-            break
     interreduced = inter_reduce(cf)
     failure = _basis_failure(cf, interreduced)
     if failure is not None:
         failures.append(failure)
-    if not failures:
-        if tuple(interreduced) != reduced.elements:
-            failures.append(_set_mismatch("interreduction_mismatch", interreduced, reduced))
+    elif tuple(interreduced) != reduced.elements:
+        failures.append(_set_mismatch("interreduction_mismatch", interreduced, reduced))
     literal = frozenset(cf) == frozenset(reduced.elements)
     strict = case.shape_class is ShapeClass.THREE_THREE or (
         case.shape_class is ShapeClass.TWO_BY_N and case.n == 3
@@ -393,48 +389,40 @@ def verify_gb(case):
     return _report(claim, case, t0, failures, detail)
 
 
-def _radical_test(case, I):
-    """f -> whether f lies in rad(I), with I's lex basis built only when needed.
+def _pure_powers(ring, polys):
+    """The k with some lex leading term among polys a power of x_k."""
+    supports = (ring.support(g._lm_packed(LEX)) for g in polys)
+    return {s[0] for s in supports if len(s) == 1}
 
-    Two sufficient tests come first.  A term f whose variables are those
-    of a term generator g of I is in rad(I), since g divides a power of
-    f.  When every generator of P2 is one of I's, P2 lies in I, so f in
-    rad(P2) puts f in rad(I); that is decided against P2's cached lex
-    basis.  Where neither settles it, `radical_member(f, I)` decides, so
-    the answer is always exact.
+
+def _outside_radical(case, Q, variables):
+    """The first of the variables not in rad(Q), or None.
+
+    One scan settles every variable at once when Q has homogeneous
+    generators among which are all of P2's.  Then P2 lies in Q, so in(Q)
+    holds the lex leading terms of P2's cached basis, and it holds each
+    monomial generator of Q.  Suppose those include a pure power of every
+    variable.  Then only finitely many monomials lie outside in(Q), and
+    these standard monomials are a basis of R/Q (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 5 §3, the finiteness theorem).  Q is
+    homogeneous, so R/Q is graded, Q's reduced basis is homogeneous, and
+    the standard monomials of degree d are a basis of (R/Q)_d (ch. 9 §3).
+    So (R/Q)_d = 0 past the largest standard degree d0, and x_k^(d0+1) lies
+    in Q for every k: every variable is in rad(Q).
+
+    Otherwise each variable goes alone: a generator c * x_k^e of Q puts x_k
+    in rad(Q), and `radical_member(x_k, Q)` decides the rest, so the answer
+    is always exact.
     """
     ring = case.ring
-    supports = {ring.support(m) for g in I.generators if len(g) == 1 for m in g._d}
-    gens = set(I.generators)
-    p2 = case.p2 if all(g in gens for g in case.p2.generators) else None
-
-    def member(f):
-        return (
-            (len(f) == 1 and ring.support(f._lm_packed(LEX)) in supports)
-            or (p2 is not None and radical_member(f, p2))
-            or radical_member(f, I)
-        )
-
-    return member
-
-
-def _alpha_shows_embedded(case):
-    """Whether a listed alpha shows (P2 : x_N^inf) cap ((P2 + (x_N^2)) : x1^inf) != P2.
-
-    Those are the two saturations decompose computes, N = r + 1.  An alpha
-    outside P2 with x_N * alpha in P2 lies in the first; with x1 * alpha in
-    P2, inside P2 + (x_N^2), it lies in the second.  The intersection
-    always contains P2, and alpha then shows it is larger.  No primality
-    is needed.  False decides nothing.
-    """
-    al = alphas(case)
-    if al is None:
-        return False
-    nf = reducer(case.p2.reduced_basis())
-    x1, xn = case.x(1), case.x(case.nvars)
-    return any(
-        not nf(a).is_zero and nf(x1 * a).is_zero and nf(xn * a).is_zero for a in al
-    )
+    powers = _pure_powers(ring, [g for g in Q.generators if len(g) == 1])
+    if _has_homogeneous_generators(Q) and set(case.p2.generators) <= set(Q.generators):
+        if len(powers | _pure_powers(ring, case.p2.reduced_basis())) == ring.nvars:
+            return None
+    for v in variables:
+        if ring.support(v._lm_packed(LEX))[0] not in powers and not radical_member(v, Q):
+            return v
+    return None
 
 
 def verify_decomposition(case):
@@ -449,10 +437,10 @@ def verify_decomposition(case):
 
     Also asserts that J is proper, which it is when no generator has a
     constant term (J then lies in the maximal ideal; only otherwise is
-    `is_unit` asked), and that each x_k lies in rad(J), by `_radical_test`.
-    The detail records whether J is genuinely embedded, Q1 cap Q2 != P2:
-    by `_alpha_shows_embedded` where it finds an alpha, else by
-    `classify_embedded`.  Once the q1 and q2 checks pass, the two agree.
+    `is_unit` asked), and that each x_k lies in rad(J), by
+    `_outside_radical`, whose leading-term scan builds no basis of J.
+    The detail records whether J is genuinely embedded, Q1 cap Q2 != P2,
+    as `classify_embedded` decides it.
 
     The triple intersection is not computed: the checks above prove it.
     The splitting lemma (Gianni-Trager-Zacharias, J. Symb. Comp. 6, 1988)
@@ -478,20 +466,27 @@ def verify_decomposition(case):
 
     if any(0 in g._d for g in J.generators) and J.is_unit:  # 0 packs the constant monomial
         failures.append({"kind": "j_is_unit_ideal"})
-    else:
-        in_radical = _radical_test(case, J)
-        for k in range(1, case.nvars + 1):
-            if not in_radical(case.x(k)):
-                failures.append({"kind": "radical_misses_variable", "variable": f"x{k}"})
-                break
+    elif (v := _outside_radical(case, J, case.maximal_ideal.generators)) is not None:
+        failures.append({"kind": "radical_misses_variable", "variable": str(v)})
 
-    embedded = _alpha_shows_embedded(case) or classify_embedded(case)
+    embedded = classify_embedded(case)
     detail = f"q1_stab={stab1} q2_stab={stab2} embedded={'yes' if embedded else 'no'}"
     return _report(claim, case, t0, failures, detail)
 
 
 def classify_embedded(case):
-    """Whether J contributes an embedded component: Q1 cap Q2 != P2."""
+    """Whether J contributes an embedded component: Q1 cap Q2 != P2.
+
+    Where the shape lists alphas, one outside P2 and inside both Q1 and Q2
+    lies in Q1 cap Q2 but not in P2, which settles it with three normal
+    forms against cached lex bases.  Otherwise `case.q1q2`, the
+    intersection of the same Q1 and Q2, is compared with P2.
+    """
+    al = alphas(case)
+    if al is not None:
+        nf_p2, nf_q1, nf_q2 = (reducer(I.reduced_basis()) for I in (case.p2, case.q1, case.q2))
+        if any(not nf_p2(a).is_zero and nf_q1(a).is_zero and nf_q2(a).is_zero for a in al):
+            return True
     return not equal(case.q1q2, case.p2)
 
 
@@ -510,7 +505,9 @@ def decomposition_summary(case):
     Q1 and Q2 are obtained as saturations (not from their closed forms),
     J is P2 plus the two squared end variables, and the returned
     stabilization exponents are the saturation step counts.  J is
-    redundant exactly when Q1 cap Q2 already equals P2.
+    redundant exactly when Q1 cap Q2 already equals P2, as
+    `classify_embedded` decides on the closed forms, which equal the
+    saturations wherever decomp.main passes.
     """
     Q1, stab1, Q2, stab2 = _saturations(case)
     return {
@@ -554,10 +551,13 @@ def verify_primary_properties(case):
 
     For each pair (Q, P): every generator of P lies in rad(Q), Q sits
     inside P (so rad(Q) = P), and (Q : y) = Q for each variable y not in
-    P.  The radical goes through `_radical_test`, so J's lex basis is not
-    built, and the colon through `_colon_fixes`, which builds no basis of
-    the colon.  When Q has homogeneous generators and P, generated by
-    variables, misses at most one of them, this proves Q P-primary:
+    P.  The radical goes through `_outside_radical`, the same test as in
+    decomp.main: its leading-term scan settles J with no basis of J, and
+    on Q1 and Q2 each variable of P not among their generators goes to
+    `radical_member`.  The colon goes through `_colon_fixes`, which builds
+    no basis of the colon.  When Q has homogeneous generators and P,
+    generated by variables, misses at most one of them, this proves Q
+    P-primary:
 
     * Q1 and Q2.  P is generated by every variable but x_k.  The
       associated primes of a homogeneous Q are homogeneous (Eisenbud,
@@ -578,13 +578,11 @@ def verify_primary_properties(case):
     failures = []
     for label, Q, P, variables in _colon_witnesses(case):
         nf_p = reducer(P.reduced_basis())
-        in_radical = _radical_test(case, Q)
-        for v in P.generators:
-            if not in_radical(v):
-                failures.append(
-                    {"kind": "prime_generator_outside_radical", "component": label, "generator": str(v)}
-                )
-                break
+        v = _outside_radical(case, Q, P.generators)
+        if v is not None:
+            failures.append(
+                {"kind": "prime_generator_outside_radical", "component": label, "generator": str(v)}
+            )
         for gq in Q.generators:
             if not nf_p(gq).is_zero:
                 failures.append(

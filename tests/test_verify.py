@@ -44,11 +44,10 @@ from permahank.ideal_ops import _has_homogeneous_generators
 from permahank.ideal_ops import radical_member
 from permahank.verify import (
     VerificationReport,
-    _alpha_shows_embedded,
     _basis_failure,
     _colon_fixes,
     _colon_witnesses,
-    _radical_test,
+    _outside_radical,
     _report,
 )
 from permahank.groebner import GroebnerBasis, _minimal_indices
@@ -339,13 +338,15 @@ def test_classification_spot_checks():
 
 
 def test_classification_matches_alpha_availability():
-    # decomp.main's alpha flag must agree with the intersection it replaces
+    # classify_embedded settles most shapes by an alpha; it must agree with
+    # the intersection of fresh copies of the closed-form Q1 and Q2
     for char in (0, 32003):
         for m, n in default_grid():
             case = Case(m, n, char)
             embedded = classify_embedded(case)
+            fresh = [Ideal(case.ring, I.generators) for I in (case.q1, case.q2, case.p2)]
+            assert embedded is not equal(intersect(fresh[0], fresh[1]), fresh[2]), (m, n, char)
             assert (alphas(case) is not None) == embedded, (m, n, char)
-            assert _alpha_shows_embedded(case) == embedded, (m, n, char)
 
 
 def test_individual_checks_pass():
@@ -829,14 +830,9 @@ def test_gb_reports_a_nonminimal_element_with_a_remainder(monkeypatch):
     cf = closed_form_gb(case) + [extra]
     monkeypatch.setattr("permahank.verify.closed_form_gb", lambda c: cf)
     assert verify_gb(case).witness == {
-        "failures": [
-            {"kind": "element_outside_ideal", "element": "x1*x3*x5 + x5^5"},
-            {
-                "kind": "nonminimal_element_not_reduced",
-                "element": "x1*x3*x5 + x5^5",
-                "remainder": "x5^5",
-            },
-        ]
+        "kind": "nonminimal_element_not_reduced",
+        "element": "x1*x3*x5 + x5^5",
+        "remainder": "x5^5",
     }
 
 
@@ -879,15 +875,20 @@ def test_gb_fails_every_closed_form_that_misses_a_generator_of_p2(monkeypatch):
 
 
 def test_alpha_flag_needs_all_three_conditions(monkeypatch):
-    # on 2x3, where J is redundant: x1*x2 has only x4 * alpha in P2, x2*x4 only
-    # x1 * alpha, and x1*x3*x4 lies in P2; none shows an embedded component
-    case = Case(2, 3)
-    x = case.x
-    fake = [x(1) * x(2), x(2) * x(4), x(1) * x(3) * x(4)]
-    monkeypatch.setattr("permahank.verify.alphas", lambda c: fake)
-    assert not _alpha_shows_embedded(case)
-    rep = verify_decomposition(case)
-    assert rep.passed and rep.detail == "q1_stab=2 q2_stab=1 embedded=no"
+    # a permanent lies in P2 and x_N^2 outside Q1, so neither fake alpha
+    # settles the flag: classify_embedded falls back to the intersection,
+    # which answers both ways
+    for shape, embedded in [((2, 3), False), ((3, 4), True)]:
+        case = Case(*shape)
+        x = case.x
+        fake = [case.p2.generators[0], x(case.nvars) ** 2]
+        assert x(case.nvars) ** 2 in case.q2 and x(case.nvars) ** 2 not in case.p2
+        monkeypatch.setattr("permahank.verify.alphas", lambda c, fake=fake: fake)
+        meets = []
+        monkeypatch.setattr("permahank.verify.intersect", _counting(meets, intersect))
+        assert classify_embedded(case) is embedded and len(meets) == 1, shape
+        rep = verify_decomposition(Case(*shape))
+        assert rep.passed and rep.detail.endswith("embedded=" + ("yes" if embedded else "no"))
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -914,33 +915,64 @@ def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
 
 
 @pytest.mark.parametrize("char", [0, 32003])
-def test_radical_test_agrees_with_radical_member(char):
+def test_outside_radical_agrees_with_radical_member(char):
     for shape in default_grid():
         case = Case(*shape, char)
-        J = embedded_j(case)
-        in_radical = _radical_test(case, J)
-        reference = Ideal(case.ring, J.generators)
-        for k in range(1, case.nvars + 1):
-            assert in_radical(case.x(k)) == radical_member(case.x(k), reference), (shape, k)
+        for Q in (embedded_j(case), case.q1, case.q2):
+            reference = Ideal(case.ring, Q.generators)
+            for k in range(1, case.nvars + 1):
+                x = case.x(k)
+                got = _outside_radical(case, Q, [x]) is None
+                assert got == radical_member(x, reference), (shape, str(x))
 
 
-def test_radical_test_falls_back_without_p2s_generators(monkeypatch):
-    case = Case(3, 4)
-    x, p2 = case.x, case.p2
+@pytest.mark.parametrize("char", [0, 32003])
+def test_outside_radical_settles_j_by_the_scan(char, monkeypatch):
     asked = []
     monkeypatch.setattr("permahank.verify.radical_member", _counting(asked, radical_member))
-    # P2's generators in another order, as a new list: the shortcut through P2
+    for shape in default_grid():
+        case = Case(*shape, char)
+        assert _outside_radical(case, embedded_j(case), case.maximal_ideal.generators) is None
+        assert case.j._cache == {}, shape
+    assert asked == []
+
+
+def test_outside_radical_falls_back_without_p2s_generators(monkeypatch):
+    case = Case(3, 4)
+    x, p2 = case.x, case.p2
+    variables = case.maximal_ideal.generators
+    asked = []
+    monkeypatch.setattr("permahank.verify.radical_member", _counting(asked, radical_member))
+    # P2's generators in another order, as a new list: still the scan
     same = Ideal(case.ring, p2.generators[::-1] + (x(1) ** 2, x(6) ** 2))
-    assert all(_radical_test(case, same)(x(k)) for k in range(1, 7))
-    assert {id(I) for _, I in asked} == {id(p2)}
-    # one permanent short: every interior variable falls back to radical_member on J
-    asked.clear()
+    assert _outside_radical(case, same, variables) is None
+    assert asked == []
+    # one permanent short: x1 and x6 by their squares, the rest by radical_member
     short = Ideal(case.ring, p2.generators[1:] + (x(1) ** 2, x(6) ** 2))
-    in_radical = _radical_test(case, short)
-    got = [in_radical(x(k)) for k in range(1, 7)]
-    assert [str(f) for f, I in asked if I is short] == ["x2", "x3", "x4", "x5"]
+    got = [_outside_radical(case, short, [v]) is None for v in variables]
+    assert [str(f) for f, I in asked] == ["x2", "x3", "x4", "x5"]
     assert all(I is short for _, I in asked)
-    assert got == [radical_member(x(k), Ideal(case.ring, short.generators)) for k in range(1, 7)]
+    assert got == [radical_member(v, Ideal(case.ring, short.generators)) for v in variables]
+
+
+def test_outside_radical_needs_homogeneous_generators(monkeypatch):
+    # with P2 stood in for by (x_k^2 - x_k), k = 2..5, every variable has a pure
+    # power among the leading terms, yet (0, 1, 1, 1, 1, 0) is a zero of Q
+    case = Case(3, 4)
+    x = case.x
+    fake = Ideal(case.ring, [x(k) ** 2 - x(k) for k in range(2, 6)])
+    monkeypatch.setattr(case, "p2", fake)
+    Q = fake + (x(1) ** 2, x(6) ** 2)
+    assert str(_outside_radical(case, Q, case.maximal_ideal.generators)) == "x2"
+
+
+def test_decomposition_fails_a_j_without_x1_squared(monkeypatch):
+    # (P2 + (x_N^2)) vanishes on the x1 axis, so x1 is not in its radical
+    case = Case(3, 4)
+    partial = case.p2 + case.x(6) ** 2
+    monkeypatch.setattr("permahank.verify.embedded_j", lambda c: partial)
+    rep = verify_decomposition(case)
+    assert rep.witness == {"kind": "radical_misses_variable", "variable": "x1"}
 
 
 def test_decomposition_fails_a_unit_j(monkeypatch):

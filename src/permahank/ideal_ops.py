@@ -13,7 +13,9 @@ reverse-lex property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra
 dividing out powers of x_k keeps G a basis: (I : x_k^e) is generated by
 g / x_k^min(e, nu(g)) and (I : x_k^infinity) by g / x_k^nu(g), where nu is
 the exponent of x_k.  Those are all the colons and saturations the
-decomposition makes.  Every other colon, by a monomial of several
+decomposition makes.  The same cached basis also answers membership in I
+(`_revlex_member`), which is all the embedded-component test needs once
+P2 has been saturated at x_N.  Every other colon, by a monomial of several
 variables too, is the reference path: (I : f) = (I cap (f)) / f
 (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 4), the
 generators of the intersection divided exactly by f.  One reverse-lex
@@ -205,20 +207,32 @@ def _revlex_basis(I, k):
     return b
 
 
-def colon(I, f):
-    """The colon ideal (I : f).
+def _revlex_member(I, k):
+    """The map f -> whether f lies in I, decided by `_revlex_basis(I, k)`.
 
-    For f = c * x_k^e and homogeneous generators of I, divides
-    x_k^min(e, nu(g)) out of each g of the reverse-lex basis with x_k
-    smallest (see the module docstring); every quotient stays homogeneous.
-    Any other f, a monomial of several variables included, goes to
-    `_colon_by_elimination`.
+    A Groebner basis under any order decides membership, so I need not be
+    homogeneous; I must be nonzero.  Each f is swapped into the basis's
+    coordinates and reduced under `_RevlexOrder` against one reducer table.
     """
-    _check_divisor(I, f)
-    power = _variable_power(I, f)
-    if power is None:
-        return _colon_by_elimination(I, f)
-    k, e = power
+    ring = I.ring
+    swap = _swapper(ring, k)
+    nf = reducer([Polynomial._raw(ring, d) for d, _ in _revlex_basis(I, k)],
+                 _RevlexOrder(ring.nvars))
+
+    def member(f):
+        if f.ring != ring:
+            raise ValueError("polynomial outside the ring")
+        return nf(Polynomial._raw(ring, {swap(m): c for m, c in f._d.items()})).is_zero
+
+    return member
+
+
+def _divide_out(I, k, e):
+    """(I : x_k^e) for homogeneous generators of I: g / x_k^min(e, nu(g)).
+
+    The g run over `_revlex_basis(I, k)` (see the module docstring); every
+    quotient stays homogeneous.
+    """
     ring = I.ring
     swap = _swapper(ring, k)
     top = (ring.nvars - 1) * _BITS
@@ -230,6 +244,21 @@ def colon(I, f):
         cut = a << top
         quotients.append(Polynomial._raw(ring, {swap(m - cut): c for m, c in d.items()}))
     return Ideal(ring, quotients)
+
+
+def colon(I, f):
+    """The colon ideal (I : f).
+
+    For f = c * x_k^e and homogeneous generators of I, divides
+    x_k^min(e, nu(g)) out of each g of the reverse-lex basis with x_k
+    smallest (`_divide_out`).  Any other f, a monomial of several
+    variables included, goes to `_colon_by_elimination`.
+    """
+    _check_divisor(I, f)
+    power = _variable_power(I, f)
+    if power is None:
+        return _colon_by_elimination(I, f)
+    return _divide_out(I, *power)
 
 
 def _colon_by_elimination(I, f):
@@ -274,7 +303,7 @@ def saturate(I, f):
         raise RuntimeError(f"saturation did not stabilize within {SATURATION_CAP} steps")
     if n == 0:
         return I, 0
-    return colon(I, I.ring.var(k) ** j), n
+    return _divide_out(I, k, j), n
 
 
 def _saturate_by_colons(I, f):

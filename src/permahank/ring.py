@@ -154,7 +154,9 @@ class _RevlexOrder:
                 raise ValueError(
                     "degree reached 2**15, past the range of the reverse-lex order"
                 )
-            return d, -((m * ones) >> shift)
+            # the prefix sums fill the N - 1 fields below bit `shift`, so the
+            # degree in the bits above decides first, as a tuple key would
+            return (d << shift) - ((m * ones) >> shift)
 
         return key
 

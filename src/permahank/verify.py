@@ -41,6 +41,7 @@ from .groebner import (
 from .ideal_ops import (
     Ideal,
     _has_homogeneous_generators,
+    _revlex_member,
     colon,
     equal,
     intersect,
@@ -149,6 +150,11 @@ class Case:
     @cached_property
     def q1q2(self):
         return intersect(self.q1, self.q2)
+
+    @cached_property
+    def _nf_p2(self):
+        """Normal forms modulo P2's cached lex basis: one reducer table per case."""
+        return reducer(self.p2.reduced_basis())
 
 
 def closed_form_gb(case):
@@ -440,7 +446,8 @@ def verify_decomposition(case):
     `is_unit` asked), and that each x_k lies in rad(J), by
     `_outside_radical`, whose leading-term scan builds no basis of J.
     The detail records whether J is genuinely embedded, Q1 cap Q2 != P2,
-    as `classify_embedded` decides it.
+    as `classify_embedded` decides it; by an alpha, that reads only the
+    reverse-lex basis of P2 that the saturation at x_N has cached.
 
     The triple intersection is not computed: the checks above prove it.
     The splitting lemma (Gianni-Trager-Zacharias, J. Symb. Comp. 6, 1988)
@@ -477,15 +484,25 @@ def verify_decomposition(case):
 def classify_embedded(case):
     """Whether J contributes an embedded component: Q1 cap Q2 != P2.
 
-    Where the shape lists alphas, one outside P2 and inside both Q1 and Q2
-    lies in Q1 cap Q2 but not in P2, which settles it with three normal
-    forms against cached lex bases.  Otherwise `case.q1q2`, the
-    intersection of the same Q1 and Q2, is compared with P2.
+    Where the shape lists alphas, one alpha outside P2 with x_N * alpha and
+    x1 * alpha in P2, N = r + 1, settles it.  x_N * alpha in P2 puts alpha
+    in (P2 : x_N), inside (P2 : x_N^infinity) = Q1.  x1 * alpha in P2, inside
+    P2 + (x_N^2), puts alpha in ((P2 + (x_N^2)) : x1^infinity) = Q2.  So
+    alpha lies in Q1 cap Q2 but not in P2.  The same holds for the closed
+    forms q1 and q2, which contain P2 and are primary at P1 = (x1..xr) and
+    P2' = (x2..xN): x_N is not in P1 = rad(q1), so x_N * alpha in q1 puts
+    alpha in q1, and x1 is not in P2', so x1 * alpha in q2 puts alpha in q2.
+
+    The three memberships are in P2 alone, decided against the reverse-lex
+    basis with x_N smallest that `saturate(P2, x_N)` caches on P2
+    (`_revlex_member`), so no basis of Q1 or Q2 is built.  Otherwise
+    `case.q1q2`, the intersection of the closed forms, is compared with P2.
     """
     al = alphas(case)
     if al is not None:
-        nf_p2, nf_q1, nf_q2 = (reducer(I.reduced_basis()) for I in (case.p2, case.q1, case.q2))
-        if any(not nf_p2(a).is_zero and nf_q1(a).is_zero and nf_q2(a).is_zero for a in al):
+        in_p2 = _revlex_member(case.p2, case.nvars)
+        x1, xN = case.x(1), case.x(case.nvars)
+        if any(not in_p2(a) and in_p2(xN * a) and in_p2(x1 * a) for a in al):
             return True
     return not equal(case.q1q2, case.p2)
 
@@ -506,8 +523,10 @@ def decomposition_summary(case):
     J is P2 plus the two squared end variables, and the returned
     stabilization exponents are the saturation step counts.  J is
     redundant exactly when Q1 cap Q2 already equals P2, as
-    `classify_embedded` decides on the closed forms, which equal the
-    saturations wherever decomp.main passes.
+    `classify_embedded` decides.  By an alpha, it tests membership in P2
+    against the reverse-lex basis that the saturation at x_N has just
+    cached, so no lex basis is built; otherwise it intersects the closed
+    forms, which equal the saturations wherever decomp.main passes.
     """
     Q1, stab1, Q2, stab2 = _saturations(case)
     return {
@@ -622,7 +641,7 @@ def verify_associated_maximal(case):
     t0 = time.perf_counter()
     claim = "assoc.maximal"
     failures = []
-    nf_p2 = reducer(case.p2.reduced_basis())
+    nf_p2 = case._nf_p2
     for a in al:
         if nf_p2(a).is_zero:
             failures.append({"kind": "alpha_inside_ideal", "alpha": str(a)})
@@ -745,7 +764,7 @@ def verify_membership_lemmas(case):
     claim = "lemma.membership"
     m, n = case.m, case.n
     ring = case.ring
-    nf_p2 = reducer(case.p2.reduced_basis())
+    nf_p2 = case._nf_p2
     triples = list(combinations_with_replacement(range(1, case.nvars + 1), 3))
 
     cubics = [t for t in triples if _is_cubic(*t, m, n) or _is_cubic(*t, n, m)]

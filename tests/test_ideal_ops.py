@@ -1,5 +1,6 @@
 """Ideal arithmetic: intersection, quotient, saturation, radical membership."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,14 @@ from permahank import (
     permanent_generators,
     polys_to_dict,
     radical_member,
+    reducer,
     saturate,
     why_unequal,
 )
 from permahank import ideal_ops
 from permahank.ideal_ops import (
     _colon_by_elimination,
+    _revlex_member,
     _saturate_by_colons,
     _variable_power,
 )
@@ -280,6 +283,36 @@ def test_colon_fast_path_matches_reference(char):
                     S, s = saturate(P, f)
                     ref, s_ref = _saturate_by_colons(P, f)
                     assert (lex_strs(S), s) == (lex_strs(ref), s_ref), (m, n, k, e)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_revlex_membership_agrees_with_the_lex_basis(char):
+    # the alphas, x1*alpha and x_N*alpha, P2's generators, random
+    # combinations of them, and non-members made by adding a polynomial
+    # outside P2: P2 is homogeneous of degree 2, so a linear part or an
+    # alpha keeps the sum out
+    rng = random.Random(char)
+    for m, n in default_grid():
+        case = Case(m, n, char)
+        x, N, P2 = case.x, case.nvars, case.p2
+        gens = list(P2.generators)
+        al = alphas(case) or []
+        polys = al + [x(1) * a for a in al] + [x(N) * a for a in al] + gens
+        combos = []
+        for _ in range(6):
+            f = 0
+            for g in rng.sample(gens, min(3, len(gens))):
+                f = f + rng.randint(-3, 3) * x(rng.randint(1, N)) ** rng.randint(0, 1) * g
+            combos.append(f)
+        polys += combos
+        polys += [f + x(rng.randint(1, N)) for f in combos]
+        polys += [f + a for f in combos for a in al[:2]]
+        nf = reducer(P2.reduced_basis())
+        want = [nf(f).is_zero for f in polys]
+        assert True in want and False in want, (m, n)
+        for k in (1, N):
+            member = _revlex_member(P2, k)
+            assert [member(f) for f in polys] == want, (m, n, k)
 
 
 @pytest.mark.parametrize("char", [0, 32003])

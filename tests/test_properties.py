@@ -100,6 +100,36 @@ def test_revlex_matches_its_definition(a, b):
         assert got == (0 if not diff else (1 if diff[0] > 0 else -1))
 
 
+def revlex_tuple_key(nvars):
+    """The reverse-lex key as the tuple (degree, -prefix sums): the reference.
+
+    `_RevlexOrder`'s key packs the same two numbers into one int, the
+    degree above bit 16 * nvars and the prefix sums below it.
+    """
+    ones = sum(1 << (16 * i) for i in range(nvars))
+    shift = 16 * nvars
+    return lambda m: (m % 0xFFFF, -((m * ones) >> shift))
+
+
+def sign(x, y):
+    return (x > y) - (x < y)
+
+
+@pytest.mark.parametrize("nvars", [1, 4, 9])
+@given(data=st.data())
+def test_revlex_int_key_orders_as_the_tuple_key(nvars, data):
+    # exponents small enough to tie in degree often, or as large as a degree
+    # below 2**15 allows; a permutation of a has a's degree
+    ring = Ring(nvars)
+    exps = st.tuples(*[st.integers(0, 3) | st.integers(0, 32767 // nvars)] * nvars)
+    a, b = data.draw(exps), data.draw(exps)
+    c = tuple(data.draw(st.permutations(a)))
+    new, ref = _RevlexOrder(nvars).key(), revlex_tuple_key(nvars)
+    for u, v in ((a, b), (a, c), (c, b), (a, a)):
+        mu, mv = ring.pack(u), ring.pack(v)
+        assert sign(new(mu), new(mv)) == sign(ref(mu), ref(mv)), (u, v)
+
+
 @given(a=exps4, b=exps4)
 def test_elim_block_dominates(a, b):
     # lex eliminates every block of leading variables: a monomial using

@@ -40,8 +40,9 @@ from permahank import (
     verify_primary_properties,
     verify_reduction_lemma,
 )
+from permahank import ideal_ops
 from permahank.ideal_ops import _has_homogeneous_generators
-from permahank.ideal_ops import radical_member
+from permahank.ideal_ops import radical_member, saturate
 from permahank.verify import (
     VerificationReport,
     _basis_failure,
@@ -337,9 +338,24 @@ def test_classification_spot_checks():
         assert classify_embedded(Case(*shape)) is expected
 
 
+def _flag_by_closed_forms(case):
+    """The reference embedded flag, decided as classify_embedded did before.
+
+    An alpha outside P2 and inside the closed-form Q1 and Q2, by three
+    normal forms against their lex bases; otherwise the intersection.
+    """
+    al = alphas(case)
+    if al is not None:
+        nf_p2, nf_q1, nf_q2 = (reducer(I.reduced_basis()) for I in (case.p2, case.q1, case.q2))
+        if any(not nf_p2(a).is_zero and nf_q1(a).is_zero and nf_q2(a).is_zero for a in al):
+            return True
+    return not equal(case.q1q2, case.p2)
+
+
 def test_classification_matches_alpha_availability():
     # classify_embedded settles most shapes by an alpha; it must agree with
-    # the intersection of fresh copies of the closed-form Q1 and Q2
+    # the intersection of fresh copies of the closed-form Q1 and Q2, and
+    # with the reference alpha test on the closed forms
     for char in (0, 32003):
         for m, n in default_grid():
             case = Case(m, n, char)
@@ -347,6 +363,7 @@ def test_classification_matches_alpha_availability():
             fresh = [Ideal(case.ring, I.generators) for I in (case.q1, case.q2, case.p2)]
             assert embedded is not equal(intersect(fresh[0], fresh[1]), fresh[2]), (m, n, char)
             assert (alphas(case) is not None) == embedded, (m, n, char)
+            assert embedded is _flag_by_closed_forms(Case(m, n, char)), (m, n, char)
 
 
 def test_individual_checks_pass():
@@ -493,6 +510,16 @@ def _counting(calls, fn):
         calls.append(args)
         return fn(*args)
     return wrapped
+
+
+def test_p2_lex_reducer_is_built_once_per_case(monkeypatch):
+    # assoc.maximal and lemma.membership share the case's one reducer table
+    # over P2's lex basis
+    builds = []
+    monkeypatch.setattr("permahank.verify.reducer", _counting(builds, reducer))
+    case = Case(4, 6)
+    assert verify_associated_maximal(case).passed and verify_membership_lemmas(case).passed
+    assert [args[0] is case.p2.reduced_basis() for args in builds] == [True]
 
 
 def test_reduction_lemma_reports_the_first_off_target_monomial(monkeypatch):
@@ -875,20 +902,39 @@ def test_gb_fails_every_closed_form_that_misses_a_generator_of_p2(monkeypatch):
 
 
 def test_alpha_flag_needs_all_three_conditions(monkeypatch):
-    # a permanent lies in P2 and x_N^2 outside Q1, so neither fake alpha
-    # settles the flag: classify_embedded falls back to the intersection,
-    # which answers both ways
+    # each fake alpha misses one condition: it lies in P2, or x_N*alpha or
+    # x1*alpha lies outside P2; none settles the flag, so classify_embedded
+    # falls back to the intersection, which answers both ways
     for shape, embedded in [((2, 3), False), ((3, 4), True)]:
         case = Case(*shape)
-        x = case.x
-        fake = [case.p2.generators[0], x(case.nvars) ** 2]
-        assert x(case.nvars) ** 2 in case.q2 and x(case.nvars) ** 2 not in case.p2
-        monkeypatch.setattr("permahank.verify.alphas", lambda c, fake=fake: fake)
-        meets = []
-        monkeypatch.setattr("permahank.verify.intersect", _counting(meets, intersect))
-        assert classify_embedded(case) is embedded and len(meets) == 1, shape
-        rep = verify_decomposition(Case(*shape))
-        assert rep.passed and rep.detail.endswith("embedded=" + ("yes" if embedded else "no"))
+        x, N, P2 = case.x, case.nvars, case.p2
+        fakes = [P2.generators[0], x(N - 1) * x(N), x(1) * x(2)]
+        assert fakes[0] in P2
+        assert fakes[1] not in P2 and x(N) * fakes[1] not in P2 and x(1) * fakes[1] in P2
+        assert fakes[2] not in P2 and x(N) * fakes[2] in P2 and x(1) * fakes[2] not in P2
+        for fake in fakes:
+            monkeypatch.setattr("permahank.verify.alphas", lambda c, fake=fake: [fake])
+            meets = []
+            monkeypatch.setattr("permahank.verify.intersect", _counting(meets, intersect))
+            assert classify_embedded(Case(*shape)) is embedded and len(meets) == 1, (shape, fake)
+            rep = verify_decomposition(Case(*shape))
+            assert rep.passed and rep.detail.endswith("embedded=" + ("yes" if embedded else "no"))
+
+
+def test_decomposition_builds_no_lex_basis_for_the_flag(monkeypatch):
+    # on an alpha shape the flag comes from the reverse-lex basis of P2 that
+    # the first saturation caches; each saturation scans for homogeneity once
+    sats, scans = [], []
+    monkeypatch.setattr("permahank.verify.saturate", _counting(sats, saturate))
+    monkeypatch.setattr(
+        "permahank.ideal_ops._variable_power", _counting(scans, ideal_ops._variable_power)
+    )
+    case = Case(4, 6)
+    assert decomposition_summary(case)["j_redundant"] is False
+    assert len(sats) == 2 and len(scans) == 2
+    for I in (case.p2, case.q1, case.q2):
+        assert LEX not in I._cache
+    assert ("revlex", case.nvars) in case.p2._cache
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -227,12 +227,20 @@ def _revlex_member(I, k):
     return member
 
 
-def _divide_out(I, k, e):
-    """(I : x_k^e) for homogeneous generators of I: g / x_k^min(e, nu(g)).
+def colon(I, f):
+    """The colon ideal (I : f).
 
-    The g run over `_revlex_basis(I, k)` (see the module docstring); every
-    quotient stays homogeneous.
+    For f = c * x_k^e and homogeneous generators of I, divides
+    x_k^min(e, nu(g)) out of each g of the reverse-lex basis with x_k
+    smallest (see the module docstring); every quotient stays homogeneous.
+    Any other f, a monomial of several variables included, goes to
+    `_colon_by_elimination`.
     """
+    _check_divisor(I, f)
+    power = _variable_power(I, f)
+    if power is None:
+        return _colon_by_elimination(I, f)
+    k, e = power
     ring = I.ring
     swap = _swapper(ring, k)
     top = (ring.nvars - 1) * _BITS
@@ -244,21 +252,6 @@ def _divide_out(I, k, e):
         cut = a << top
         quotients.append(Polynomial._raw(ring, {swap(m - cut): c for m, c in d.items()}))
     return Ideal(ring, quotients)
-
-
-def colon(I, f):
-    """The colon ideal (I : f).
-
-    For f = c * x_k^e and homogeneous generators of I, divides
-    x_k^min(e, nu(g)) out of each g of the reverse-lex basis with x_k
-    smallest (`_divide_out`).  Any other f, a monomial of several
-    variables included, goes to `_colon_by_elimination`.
-    """
-    _check_divisor(I, f)
-    power = _variable_power(I, f)
-    if power is None:
-        return _colon_by_elimination(I, f)
-    return _divide_out(I, *power)
 
 
 def _colon_by_elimination(I, f):
@@ -303,7 +296,7 @@ def saturate(I, f):
         raise RuntimeError(f"saturation did not stabilize within {SATURATION_CAP} steps")
     if n == 0:
         return I, 0
-    return _divide_out(I, k, j), n
+    return colon(I, I.ring.var(k) ** j), n
 
 
 def _saturate_by_colons(I, f):

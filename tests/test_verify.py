@@ -42,7 +42,7 @@ from permahank import (
 )
 from permahank import ideal_ops
 from permahank.ideal_ops import _has_homogeneous_generators
-from permahank.ideal_ops import radical_member, saturate
+from permahank.ideal_ops import radical_member
 from permahank.verify import (
     VerificationReport,
     _basis_failure,
@@ -52,7 +52,7 @@ from permahank.verify import (
     _report,
 )
 from permahank.groebner import GroebnerBasis, _minimal_indices
-from permahank.ring import DEGLEX, LEX
+from permahank.ring import DEGLEX, LEX, _RevlexOrder
 from test_groebner import assert_agrees_with_all_pairs
 
 
@@ -923,18 +923,17 @@ def test_alpha_flag_needs_all_three_conditions(monkeypatch):
 
 def test_decomposition_builds_no_lex_basis_for_the_flag(monkeypatch):
     # on an alpha shape the flag comes from the reverse-lex basis of P2 that
-    # the first saturation caches; each saturation scans for homogeneity once
-    sats, scans = [], []
-    monkeypatch.setattr("permahank.verify.saturate", _counting(sats, saturate))
+    # the first saturation caches: the only reverse-lex Buchberger runs are
+    # the two saturations', and no lex basis of P2, Q1 or Q2 is built
+    runs = []
     monkeypatch.setattr(
-        "permahank.ideal_ops._variable_power", _counting(scans, ideal_ops._variable_power)
+        "permahank.ideal_ops.buchberger", _counting(runs, ideal_ops.buchberger)
     )
     case = Case(4, 6)
     assert decomposition_summary(case)["j_redundant"] is False
-    assert len(sats) == 2 and len(scans) == 2
+    assert [type(order) for _, order in runs] == [_RevlexOrder] * 2
     for I in (case.p2, case.q1, case.q2):
         assert LEX not in I._cache
-    assert ("revlex", case.nvars) in case.p2._cache
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -33,6 +33,14 @@ guard-bit arithmetic as the support masks below: b divides a exactly when
 mark the fields where a's exponent is at least b's, which gives the lcm as
 a fieldwise maximum.
 
+A run may start from a known reduced basis K of part of the ideal
+(`buchberger`'s private `_known`, which `ideal_ops` passes when it
+saturates a sum I + gens whose summand I has its basis cached): K's
+elements enter as they are, with no pair update, and no pair of two of
+them is formed, since each such S-polynomial has an lcm-representation
+(proved in `buchberger`'s docstring).  The loop is the same one; only the
+pairs among K are left out.
+
 `is_groebner` decides the Buchberger criterion without forming the pairs
 whose leading terms are coprime (Buchberger's first criterion, proved in
 its docstring); the all-pairs loop it replaced is kept in the tests as the
@@ -477,7 +485,7 @@ def _monomial_pairs(lm, red, tailed, guard):
     return out
 
 
-def buchberger(gens, order=LEX, reduce=True, use_chain=True):
+def buchberger(gens, order=LEX, reduce=True, use_chain=True, *, _known=0):
     """Groebner basis of the ideal generated by gens.
 
     Parameters
@@ -507,10 +515,38 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
         leading terms are coprime.  With False queue every pair, coprime
         ones too (but never one of two monomial entries): the all-pairs
         reference that the criteria must agree with.
+    _known : int
+        Private, for `ideal_ops`: the first `_known` generators are already
+        the reduced Groebner basis K of their ideal under the order (monic,
+        none zero).  They enter as they are, with no pair update, so no pair
+        of two of them is ever queued; the other generators then enter and
+        pair as usual.  0 (default) is the plain run.
 
     Returns
     -------
     GroebnerBasis
+
+    Notes
+    -----
+    The start from K returns the basis a plain run would, since a reduced
+    basis is unique.  Entering K's elements unreduced changes nothing: no
+    term of one is divisible by another's leading term, so reduction
+    against the earlier ones would leave each as it is.  Skipping their
+    pairs is safe by the lcm-representation criterion (Cox-Little-O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 2 §10, Theorem 6): a finite set
+    G is a Groebner basis when every S-polynomial S(g, h) of two of its
+    elements is a sum of terms a*q, q in G, with lt(a*q) < L = lcm(lt g,
+    lt h).  That holds for a pair of K's elements k_i, k_j even after the
+    tail step has reduced them by the new entries to k'_i, k'_j.  As K is
+    a Groebner basis, S(k_i, k_j) = sum a_l * k_l with lt(a_l * k_l) < L.
+    The tail step takes each k_l to k'_l = k_l - h_l, where h_l is a sum
+    of terms c * u * q over final entries q with lt(u * q) < lt(k_l), and
+    k'_l keeps k_l's leading term.  So
+    S(k'_i, k'_j) = sum a_l * (k'_l + h_l) - (L / lt k_i) * h_i + (L / lt k_j) * h_j,
+    and every product on the right has leading term below L.  A pair
+    among K's elements is therefore as settled as a pair that the loop has
+    reduced to zero, which is also all the Gebauer-Moeller criteria ask of
+    a pair that has left the queue.
     """
     gens = tuple(gens)
     if not gens:
@@ -539,7 +575,7 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
         lm = e[0]
         mono = not e[2]  # a monomial entry: it has no tail
         t = len(lts)
-        if use_chain:
+        if use_chain:  # no pair is alive while K's elements enter
             dead = [
                 ij for ij, L in alive.items()
                 if ((L | guard) - lm) & guard == guard
@@ -548,7 +584,9 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
             ]
             for ij in dead:
                 del alive[ij]
-        if use_chain and mono and 2 * len(tailed) < t:
+        if t < _known:
+            queue = ()  # no pair of two of K's elements (see Notes)
+        elif use_chain and mono and 2 * len(tailed) < t:
             # A monomial pairs only with the entries that have a tail; while
             # they are under half the entries, testing only them is cheaper
             # than grouping every lcm.  Only queued lcms are keyed, so key
@@ -589,12 +627,13 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True):
         top = max(top, _degree(lm))
 
     # Reduce each generator against those already entered, so duplicate
-    # leading terms and redundant generators create no entries of their own;
-    # then interreduce the entries' tails before any pair is formed.
+    # leading terms and redundant generators create no entries of their own
+    # (K's elements are reduced already); then interreduce the entries'
+    # tails before any pair is formed.
     entries = []
     first = {}  # divisor memo of entries, which only grows at its end
-    for g in live:
-        d = _nf_dict(dict(g._d), entries, ring, order, first)
+    for n, g in enumerate(live):
+        d = g._d if n < _known else _nf_dict(dict(g._d), entries, ring, order, first)
         if d:
             e = entry(d)
             if not e[0]:

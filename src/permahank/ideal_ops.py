@@ -13,16 +13,20 @@ reverse-lex property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra
 dividing out powers of x_k keeps G a basis: (I : x_k^e) is generated by
 g / x_k^min(e, nu(g)) and (I : x_k^infinity) by g / x_k^nu(g), where nu is
 the exponent of x_k.  Those are all the colons and saturations the
-decomposition makes.  The same cached basis also answers membership in I
-(`_revlex_member`), which is all the embedded-component test needs once
-P2 has been saturated at x_N.  Every other colon, by a monomial of several
-variables too, is the reference path: (I : f) = (I cap (f)) / f
-(Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 4), the
-generators of the intersection divided exactly by f.  One reverse-lex
-basis per variable of a monomial costs more than that one elimination,
-which starts from I's cached lex basis.  Every other saturation iterates
-colons by elimination until the chain stabilizes.  Either way saturation
-reports the stabilization exponent, which SATURATION_CAP caps.
+decomposition makes.  The basis of a sum I + gens extends I's cached
+basis at the same x_k: the run starts from I's reduced basis, which needs
+no pair among its own elements, so saturating P2 + (x1^2) at x_N after P2
+costs only the pairs with x1^2 and what they produce.  The same cached
+basis also answers membership in I (`_revlex_member`), which is all the
+embedded-component test needs once P2 has been saturated at x_N.  Every
+other colon, by a monomial of several variables too, is the reference
+path: (I : f) = (I cap (f)) / f (Cox-Little-O'Shea, Ideals, Varieties,
+and Algorithms, ch. 4), the generators of the intersection divided
+exactly by f.  One reverse-lex basis per variable of a monomial costs
+more than that one elimination, which starts from I's cached lex basis.
+Every other saturation iterates colons by elimination until the chain
+stabilizes.  Either way saturation reports the stabilization exponent,
+which SATURATION_CAP caps.
 """
 
 from __future__ import annotations
@@ -42,10 +46,12 @@ class Ideal:
     Reduced Groebner bases are computed lazily and cached per monomial
     order, so repeated membership and equality tests against the same
     ideal cost one basis computation.  The reverse-lex basis behind colon
-    and saturation by a variable is cached the same way, per variable.
+    and saturation by a variable is cached the same way, per variable.  A
+    sum I + gens remembers I, whose generators begin its own, so that its
+    reverse-lex basis can start from I's (`_revlex_basis`).
     """
 
-    __slots__ = ("ring", "generators", "_cache")
+    __slots__ = ("ring", "generators", "_cache", "_summand")
 
     def __init__(self, ring, generators=(), _basis=None):
         gens = []
@@ -57,6 +63,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._cache = {}
+        self._summand = None
         if _basis is not None:
             self._cache[_basis.order] = _basis
 
@@ -102,7 +109,9 @@ class Ideal:
         return gens
 
     def __add__(self, other):
-        return Ideal(self.ring, self.generators + self._other_gens(other))
+        s = Ideal(self.ring, self.generators + self._other_gens(other))
+        s._summand = self
+        return s
 
     def __mul__(self, other):
         gens = self._other_gens(other)
@@ -189,6 +198,12 @@ def _revlex_basis(I, k):
 
     A list of (term dict, nu(lt g)) pairs.  The order puts x1 smallest, so
     the dicts hold x_k in x1's field and x1 in x_k's (see `_swapper`).
+
+    When I was built as a sum S + gens and S has this basis cached, the
+    run starts from it: S's reduced basis, in the same coordinates, then
+    the swapped new generators (`buchberger`'s `_known`), so no pair of
+    two elements of S's basis is formed.  Otherwise it starts from I's
+    generators.
     """
     b = I._cache.get(("revlex", k))
     if b is None:
@@ -200,9 +215,13 @@ def _revlex_basis(I, k):
         swap = _swapper(ring, k)
         order = _RevlexOrder(ring.nvars)
         top = (ring.nvars - 1) * _BITS
-        gens = [Polynomial._raw(ring, {swap(m): c for m, c in g._d.items()})
-                for g in I.generators]
-        b = [(g._d, g._lm_packed(order) >> top) for g in buchberger(gens, order)]
+        S = I._summand
+        known = () if S is None else S._cache.get(("revlex", k), ())
+        gens = [Polynomial._raw(ring, d) for d, _ in known]
+        gens += [Polynomial._raw(ring, {swap(m): c for m, c in g._d.items()})
+                 for g in (I.generators[len(S.generators):] if known else I.generators)]
+        G = buchberger(gens, order, _known=len(known))
+        b = [(g._d, g._lm_packed(order) >> top) for g in G]
         I._cache[("revlex", k)] = b
     return b
 

@@ -61,9 +61,25 @@ class ShapeClass(Enum):
     GENERAL = "general"
 
 
-def _reverse_indices(f, k):
-    """f under x_i -> x_(k+1-i) for i <= k; x_(k+1)..x_n stay."""
-    return f.ring.poly((c, e[k - 1::-1] + e[k:]) for c, e in f.terms())
+def _reversal(ring):
+    """The map f -> sigma(f), sigma: x_i -> x_(N+1-i), on packed monomials.
+
+    Reverses the order of the N exponent fields.  sigma rotates a Hankel
+    matrix by 180 degrees, entry (i, j) to (m+1-i, n+1-j), so it permutes
+    its 2x2 permanents; it is its own inverse.
+    """
+    shifts = [(i * _BITS, (ring.nvars - 1 - i) * _BITS) for i in range(ring.nvars)]
+
+    def reverse(f):
+        out = {}
+        for m, c in f._d.items():
+            r = 0
+            for a, b in shifts:
+                r |= ((m >> a) & _FMASK) << b
+            out[r] = c
+        return Polynomial._raw(ring, out)
+
+    return reverse
 
 
 class Case:
@@ -137,7 +153,7 @@ class Case:
     @cached_property
     def q2(self):
         """Primary component at the second minimal prime (x2..x_{r+1}): q1 under i -> r+2-i."""
-        gens = [_reverse_indices(g, self.r + 1) for g in self.q1.generators]
+        gens = list(map(_reversal(self.ring), self.q1.generators))
         # listed as q1 lists its own: by degree, then by descending lex leading term
         gens.sort(key=lambda g: (g.total_degree(), [-e for e in g.leading_monomial()]))
         return Ideal(self.ring, gens)
@@ -439,15 +455,18 @@ def verify_decomposition(case):
     it returns S = (I : f^n) with (I : f^n) = (I : f^(n+1)), and the chain
     is stable from n on.  So S = Q1 with n <= 2 is the claim
     (P2 : x_N^2) = (P2 : x_N^infinity) = Q1, N = r + 1, and likewise
-    ((P2 + (x_N^2)) : x1^2) = ((P2 + (x_N^2)) : x1^infinity) = Q2.
+    ((P2 + (x_N^2)) : x1^2) = ((P2 + (x_N^2)) : x1^infinity) = Q2.  The
+    second saturation is computed as the mirror image of
+    (P2 + (x1^2)) : x_N^infinity, which has the same exponent (proved in
+    `_saturations`).
 
     Also asserts that J is proper, which it is when no generator has a
     constant term (J then lies in the maximal ideal; only otherwise is
     `is_unit` asked), and that each x_k lies in rad(J), by
     `_outside_radical`, whose leading-term scan builds no basis of J.
     The detail records whether J is genuinely embedded, Q1 cap Q2 != P2,
-    as `classify_embedded` decides it; by an alpha, that reads only the
-    reverse-lex basis of P2 that the saturation at x_N has cached.
+    as `classify_embedded` decides it, against the reverse-lex basis of P2
+    that the saturation at x_N has cached.
 
     The triple intersection is not computed: the checks above prove it.
     The splitting lemma (Gianni-Trager-Zacharias, J. Symb. Comp. 6, 1988)
@@ -496,23 +515,49 @@ def classify_embedded(case):
     The three memberships are in P2 alone, decided against the reverse-lex
     basis with x_N smallest that `saturate(P2, x_N)` caches on P2
     (`_revlex_member`), so no basis of Q1 or Q2 is built.  Otherwise
-    `case.q1q2`, the intersection of the closed forms, is compared with P2.
+    `case.q1q2`, the intersection of the closed forms, is compared with P2
+    by containment both ways: its generators by the same reverse-lex
+    basis of P2, and P2's generators by the lex basis of the intersection,
+    which `intersect` returns cached.  So no lex basis of P2 is built.
     """
+    in_p2 = _revlex_member(case.p2, case.nvars)
     al = alphas(case)
     if al is not None:
-        in_p2 = _revlex_member(case.p2, case.nvars)
         x1, xN = case.x(1), case.x(case.nvars)
         if any(not in_p2(a) and in_p2(xN * a) and in_p2(x1 * a) for a in al):
             return True
-    return not equal(case.q1q2, case.p2)
+    q1q2 = case.q1q2
+    if not all(map(in_p2, q1q2.generators)):
+        return True
+    nf = reducer(q1q2.reduced_basis())
+    return not all(nf(g).is_zero for g in case.p2.generators)
 
 
 def _saturations(case):
-    """(Q1, stab1, Q2, stab2): P2 saturated at x_N, then P2 + (x_N^2) at x1."""
+    """(Q1, stab1, Q2, stab2): P2 saturated at x_N, then P2 + (x_N^2) at x1.
+
+    Q2 and stab2 come from the mirror image at x_N:
+    Q2 = sigma((P2 + (x1^2)) : x_N^infinity), sigma: x_i -> x_(N+1-i)
+    (`_reversal`), with the same stabilization exponent.  sigma is a ring
+    automorphism and its own inverse, so sigma(I : f) = (sigma(I) : sigma(f))
+    for any ideal I and f, and sigma carries the chain (I : f^n), n >= 0,
+    term by term onto the chain (sigma(I) : sigma(f)^n).  One chain is
+    stable from n on exactly when the other is, so the two saturations
+    correspond under sigma and stabilize at the same n.  sigma rotates the
+    Hankel matrix by 180 degrees and so permutes P2's generators:
+    sigma(P2) = P2, and with sigma(x1) = x_N,
+    sigma(P2 + (x1^2)) = P2 + (x_N^2).  Taking I = P2 + (x1^2) and f = x_N
+    gives sigma((P2 + (x1^2)) : x_N^n) = ((P2 + (x_N^2)) : x1^n) for all n.
+
+    Both saturations are then at x_N, under the one internal order that
+    the first caches on P2, so the second one's basis starts from P2's
+    reduced basis plus x1^2 (`ideal_ops._revlex_basis`).
+    """
     p2 = case.p2
-    f = case.x(case.r + 1)
-    Q1, stab1 = saturate(p2, f)
-    Q2, stab2 = saturate(p2 + f * f, case.x(1))
+    xN = case.x(case.nvars)
+    Q1, stab1 = saturate(p2, xN)
+    S, stab2 = saturate(p2 + case.x(1) ** 2, xN)
+    Q2 = Ideal(case.ring, map(_reversal(case.ring), S.generators))
     return Q1, stab1, Q2, stab2
 
 
@@ -521,12 +566,13 @@ def decomposition_summary(case):
 
     Q1 and Q2 are obtained as saturations (not from their closed forms),
     J is P2 plus the two squared end variables, and the returned
-    stabilization exponents are the saturation step counts.  J is
-    redundant exactly when Q1 cap Q2 already equals P2, as
-    `classify_embedded` decides.  By an alpha, it tests membership in P2
-    against the reverse-lex basis that the saturation at x_N has just
-    cached, so no lex basis is built; otherwise it intersects the closed
-    forms, which equal the saturations wherever decomp.main passes.
+    stabilization exponents are the saturation step counts; the second
+    saturation runs at x_N too and is mirrored back (`_saturations`).  J
+    is redundant exactly when Q1 cap Q2 already equals P2, as
+    `classify_embedded` decides.  It tests membership in P2 against the
+    reverse-lex basis that the saturation at x_N has just cached, so no
+    lex basis of P2 is built; without an alpha it also intersects the
+    closed forms, which equal the saturations wherever decomp.main passes.
     """
     Q1, stab1, Q2, stab2 = _saturations(case)
     return {

@@ -20,6 +20,7 @@ from permahank import (
     Ideal,
     Ring,
     buchberger,
+    default_grid,
     inter_reduce,
     is_groebner,
     normal_form,
@@ -363,6 +364,67 @@ def test_reduced_basis_enters_unchanged(name, char):
     assert buchberger(B.elements, order, reduce=False).elements == B.elements
     assert buchberger(B.elements, order) == B
     assert buchberger(B.elements[::-1], order) == B
+
+
+# -- a start from a known reduced basis ----------------------------------------
+
+
+def swapped_perms(m, n, char):
+    """P2's generators with x1 and x_N traded, as saturation at x_N sees them."""
+    gens = perms(m, n, char)
+    R = gens[0].ring
+    swap = _swapper(R, R.nvars)
+    return [R.poly((c, R.unpack(swap(m))) for m, c in g._d.items()) for g in gens]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_start_from_p2s_basis_on_the_default_grid(char):
+    # the second saturation's run: P2's reduced reverse-lex basis with x_N
+    # smallest, then x1^2 (x_N^2 after the swap), against the run from the
+    # raw generators, with and without the criteria
+    for shape in default_grid():
+        gens = swapped_perms(*shape, char)
+        R = gens[0].ring
+        order = _RevlexOrder(R.nvars)
+        K = buchberger(gens, order)
+        square = R.var(R.nvars) ** 2
+        want = buchberger(gens + [square], order)
+        for chain in (True, False):
+            got = buchberger(K.elements + (square,), order, use_chain=chain, _known=len(K))
+            assert got == want, (shape, chain)
+
+
+@pytest.mark.parametrize("name,char", ENTRY_CASES)
+def test_start_from_a_known_basis_forms_no_pair_of_two_known_elements(name, char, monkeypatch):
+    gens = perms(3, 4, char)
+    R = gens[0].ring
+    N = R.nvars
+    x = R.var
+    order = entry_order(name, N)
+    K = buchberger(gens, order)
+    known = {f._lm_packed(order) for f in K}
+    formed = []
+    spoly = groebner._spoly_dict
+
+    def counted(a, b, ring):
+        formed.append((a[0], b[0]))
+        return spoly(a, b, ring)
+
+    monkeypatch.setattr(groebner, "_spoly_dict", counted)
+    tails_moved = 0
+    for extra in ([x(1) ** 2], [x(N) ** 2], [x(1) * x(N) + 2 * x(3) ** 2, x(2) ** 3 - x(5) ** 3]):
+        want = buchberger(gens + extra, order)
+        for chain in (True, False):
+            formed.clear()
+            got = buchberger(K.elements + tuple(extra), order, use_chain=chain, _known=len(K))
+            assert got == want, (extra, chain)
+            assert not any(a in known and b in known for a, b in formed)
+        raw = buchberger(K.elements + tuple(extra), order, reduce=False, _known=len(K))
+        assert raw.elements[len(K):] and is_groebner(raw, order) == (True, None)
+        # the tail step may reduce a known element by a new entry; its pairs
+        # with the other known elements stay unformed (buchberger's Notes)
+        tails_moved += raw.elements[:len(K)] != K.elements
+    assert tails_moved
 
 
 # -- the entry phase: generators interreduced before any pair -----------------

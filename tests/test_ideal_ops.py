@@ -11,6 +11,7 @@ from permahank import (
     Ideal,
     Ring,
     alphas,
+    buchberger,
     colon,
     decomposition_summary,
     default_grid,
@@ -313,6 +314,36 @@ def test_revlex_membership_agrees_with_the_lex_basis(char):
         for k in (1, N):
             member = _revlex_member(P2, k)
             assert [member(f) for f in polys] == want, (m, n, k)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_saturation_of_a_sum_starts_from_the_summands_basis(char, monkeypatch):
+    # the reverse-lex basis of I + gens at x_k extends I's cached basis at the
+    # same k, and only then; every way gives the reference saturation
+    R = Ring(4, char)
+    x = R.var
+    I = ideal(R, "x1*x3 - x2^2", "x2*x4 - x3^2", "x1*x4 - 5*x2*x3")  # not Hankel
+    runs = []
+
+    def recording(gens, order, *args, **kwargs):
+        runs.append(kwargs.get("_known", 0))
+        return buchberger(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(ideal_ops, "buchberger", recording)
+    for f, k, cache_k, seeded in [
+        (x(1) ** 2, 4, 4, True),
+        (x(2) * x(3) + x(4) ** 2, 1, 1, True),
+        (x(1) ** 2, 4, 1, False),  # I's basis is cached at another variable
+        (x(4) ** 3, 2, None, False),  # I's cache is empty
+    ]:
+        J = Ideal(R, I.generators)
+        if cache_k is not None:
+            saturate(J, x(cache_k))
+        runs.clear()
+        got = saturate(J + f, x(k))
+        assert [bool(r) for r in runs] == [seeded], (str(f), k)
+        ref, s_ref = _saturate_by_colons(Ideal(R, (J + f).generators), x(k))
+        assert (lex_strs(got[0]), got[1]) == (lex_strs(ref), s_ref), (str(f), k)
 
 
 @pytest.mark.parametrize("char", [0, 32003])

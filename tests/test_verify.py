@@ -42,7 +42,7 @@ from permahank import (
 )
 from permahank import ideal_ops
 from permahank.ideal_ops import _has_homogeneous_generators
-from permahank.ideal_ops import radical_member
+from permahank.ideal_ops import radical_member, saturate
 from permahank.verify import (
     VerificationReport,
     _basis_failure,
@@ -50,6 +50,8 @@ from permahank.verify import (
     _colon_witnesses,
     _outside_radical,
     _report,
+    _reversal,
+    _saturations,
 )
 from permahank.groebner import GroebnerBasis, _minimal_indices
 from permahank.ring import DEGLEX, LEX, _RevlexOrder
@@ -297,6 +299,49 @@ def test_decomposition_detail(shape, detail):
     assert rep.passed and rep.detail == detail
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+def test_second_saturation_matches_the_direct_one(char):
+    # _saturations takes Q2 as the mirror image of (P2 + (x1^2)) : x_N^inf,
+    # started from P2's cached basis; the direct saturation of P2 + (x_N^2)
+    # at x1 is the reference, compared by reduced lex basis and exponent
+    for shape in default_grid():
+        case = Case(*shape, char)
+        _, _, Q2, stab2 = _saturations(case)
+        ref = Case(*shape, char)
+        S, stab = saturate(ref.p2 + ref.x(ref.nvars) ** 2, ref.x(1))
+        assert stab2 == stab, shape
+        assert Q2.reduced_basis().elements == S.reduced_basis().elements, shape
+
+
+def test_reversal_maps_p2_onto_itself():
+    # x_i -> x_(N+1-i) rotates the Hankel matrix by 180 degrees
+    for shape in default_grid() + [(2, 23), (8, 13)]:
+        case = Case(*shape)
+        gens = set(case.p2.generators)
+        assert set(map(_reversal(case.ring), gens)) == gens, shape
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_flag_by_containment_agrees_with_equality(char, monkeypatch):
+    # with no alpha, classify_embedded decides q1q2 == P2 by containment both
+    # ways, with no lex basis of P2; equal() is the reference, on every shape,
+    # and where q1q2 = P2 on a P2 short of one permanent (q1q2 is larger) and
+    # on P2 + (x1) (q1q2 is smaller), so each containment fails once
+    monkeypatch.setattr("permahank.verify.alphas", lambda case: None)
+    for shape in default_grid():
+        case = Case(*shape, char)
+        embedded = classify_embedded(case)
+        assert LEX not in case.p2._cache, shape
+        assert embedded is not equal(case.q1q2, case.p2), shape
+    for shape in [(2, 3), (3, 5), (3, 6), (4, 5)]:
+        case = Case(*shape, char)
+        p2 = case.p2
+        for other in (Ideal(case.ring, p2.generators[1:]), p2 + case.x(1)):
+            monkeypatch.setattr(case, "p2", other)
+            assert equal(case.q1q2, other) is False
+            assert classify_embedded(case) is True, shape
+
+
 def _rejects_a_wrong_closed_form(monkeypatch, tag):
     monkeypatch.setattr(f"permahank.verify.{tag}", lambda case: case.maximal_ideal)
     rep = verify_decomposition(Case(2, 3))
@@ -506,9 +551,9 @@ def test_accessors_return_one_object_per_case():
 
 
 def _counting(calls, fn):
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
     return wrapped
 
 
@@ -922,18 +967,31 @@ def test_alpha_flag_needs_all_three_conditions(monkeypatch):
 
 
 def test_decomposition_builds_no_lex_basis_for_the_flag(monkeypatch):
-    # on an alpha shape the flag comes from the reverse-lex basis of P2 that
-    # the first saturation caches: the only reverse-lex Buchberger runs are
-    # the two saturations', and no lex basis of P2, Q1 or Q2 is built
+    # the flag comes from the reverse-lex basis of P2 that the first
+    # saturation caches: the only reverse-lex Buchberger runs are the two
+    # saturations', the second one starts from the first one's basis plus
+    # x1^2 (in the swapped coordinates, x_N^2), and no lex basis of P2, Q1
+    # or Q2 is built.  4x5 lists no alpha: there the intersection of the
+    # closed forms, an elimination under lex, decides by containment.
     runs = []
-    monkeypatch.setattr(
-        "permahank.ideal_ops.buchberger", _counting(runs, ideal_ops.buchberger)
-    )
-    case = Case(4, 6)
-    assert decomposition_summary(case)["j_redundant"] is False
-    assert [type(order) for _, order in runs] == [_RevlexOrder] * 2
-    for I in (case.p2, case.q1, case.q2):
-        assert LEX not in I._cache
+
+    def recording(gens, order, *args, **kwargs):
+        B = buchberger(gens, order, *args, **kwargs)
+        runs.append((tuple(gens), order, kwargs, B))
+        return B
+
+    monkeypatch.setattr("permahank.ideal_ops.buchberger", recording)
+    for shape, redundant in [((4, 6), False), ((4, 5), True)]:
+        runs.clear()
+        case = Case(*shape)
+        assert decomposition_summary(case)["j_redundant"] is redundant
+        first, second = runs[:2]
+        assert [type(r[1]) for r in runs] == [_RevlexOrder] * 2 + [type(LEX)] * (len(runs) - 2)
+        assert len(runs) == (2 if alphas(case) else 3)
+        assert first[2] == {"_known": 0} and second[2] == {"_known": len(first[3])}
+        assert second[0] == first[3].elements + (case.x(case.nvars) ** 2,)
+        for I in (case.p2, case.q1, case.q2):
+            assert LEX not in I._cache, shape
 
 
 @pytest.mark.parametrize("char", [0, 32003])

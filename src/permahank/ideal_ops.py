@@ -4,6 +4,7 @@ saturation, radical membership and equality.
 Intersections go through the classic auxiliary-variable construction:
 I cap J = (t*I + (t-1)*J) cap R, computed under lex in an extended ring
 whose variable t, prepended as the largest, is never visible to callers.
+The elimination starts from the generators of I and J.
 
 Colon and saturation by a power of one variable x_k, with I given by
 homogeneous generators, come from one reduced Groebner basis G of I under
@@ -12,18 +13,18 @@ reverse-lex property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra
 15.7) x_k^a divides a homogeneous g exactly when it divides lt(g), so
 dividing out powers of x_k keeps G a basis: (I : x_k^e) is generated by
 g / x_k^min(e, nu(g)) and (I : x_k^infinity) by g / x_k^nu(g), where nu is
-the exponent of x_k.  Those are all the colons and saturations the
-decomposition makes.  The basis of a sum I + gens extends I's cached
-basis at the same x_k: the run starts from I's reduced basis, which needs
-no pair among its own elements, so saturating P2 + (x1^2) at x_N after P2
-costs only the pairs with x1^2 and what they produce.  The same cached
-basis also answers membership in I (`_revlex_member`), which is all the
-embedded-component test needs once P2 has been saturated at x_N.  Every
-other colon, by a monomial of several variables too, is the reference
-path: (I : f) = (I cap (f)) / f (Cox-Little-O'Shea, Ideals, Varieties,
-and Algorithms, ch. 4), the generators of the intersection divided
-exactly by f.  One reverse-lex basis per variable of a monomial costs
-more than that one elimination, which starts from I's cached lex basis.
+the exponent of x_k in lt(g), read off G's elements.  Those are all the
+colons and saturations the decomposition makes.  The basis of a sum
+I + gens extends I's cached basis at the same x_k: the run starts from
+I's reduced basis, which needs no pair among its own elements, so
+saturating P2 + (x1^2) at x_N after P2 costs only the pairs with x1^2 and
+what they produce.  The same cached basis also answers membership in I
+(`_revlex_member`), which is all the embedded-component test needs once
+P2 has been saturated at x_N.  Every other colon, by a monomial of several
+variables too, is the reference path: (I : f) = (I cap (f)) / f
+(Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 4), the
+generators of the intersection divided exactly by f.  One reverse-lex
+basis per variable of a monomial costs more than that one elimination.
 Every other saturation iterates colons by elimination until the chain
 stabilizes.  Either way saturation reports the stabilization exponent,
 which SATURATION_CAP caps.
@@ -46,7 +47,8 @@ class Ideal:
     Reduced Groebner bases are computed lazily and cached per monomial
     order, so repeated membership and equality tests against the same
     ideal cost one basis computation.  The reverse-lex basis behind colon
-    and saturation by a variable is cached the same way, per variable.  A
+    and saturation by a variable is cached the same way, per variable,
+    under the key ("revlex", k); every cached value is a GroebnerBasis.  A
     sum I + gens remembers I, whose generators begin its own, so that its
     reverse-lex basis can start from I's (`_revlex_basis`).
     """
@@ -121,14 +123,6 @@ class Ideal:
         return f"Ideal({len(self.generators)} generators, {self.ring!r})"
 
 
-def _working_gens(I):
-    # prefer an already-computed basis; never force one just to intersect
-    b = I._cache.get(LEX)
-    if b is not None and b.elements:
-        return b.elements
-    return I.generators
-
-
 def intersect(I, J):
     """The intersection of two ideals of the same ring."""
     if not isinstance(J, Ideal):
@@ -141,8 +135,8 @@ def intersect(I, J):
     ext = extend(ring, ("t",))
     t = ext.var(1)
     u = t - 1
-    gens = [t * lift(f, ext) for f in _working_gens(I)]
-    gens += [u * lift(g, ext) for g in _working_gens(J)]
+    gens = [t * lift(f, ext) for f in I.generators]
+    gens += [u * lift(g, ext) for g in J.generators]
     basis = buchberger(gens, LEX)
     bound = 1 << (ring.nvars * _BITS)
     elems = [restrict(e, ring) for e in basis if max(e._d) < bound]
@@ -196,8 +190,8 @@ def _swapper(ring, k):
 def _revlex_basis(I, k):
     """The reduced degree reverse-lex basis of I with x_k smallest, cached on I.
 
-    A list of (term dict, nu(lt g)) pairs.  The order puts x1 smallest, so
-    the dicts hold x_k in x1's field and x1 in x_k's (see `_swapper`).
+    A GroebnerBasis under `_RevlexOrder`, which puts x1 smallest, so its
+    elements hold x_k in x1's field and x1 in x_k's (see `_swapper`).
 
     When I was built as a sum S + gens and S has this basis cached, the
     run starts from it: S's reduced basis, in the same coordinates, then
@@ -213,15 +207,12 @@ def _revlex_basis(I, k):
             )
         ring = I.ring
         swap = _swapper(ring, k)
-        order = _RevlexOrder(ring.nvars)
-        top = (ring.nvars - 1) * _BITS
         S = I._summand
         known = () if S is None else S._cache.get(("revlex", k), ())
-        gens = [Polynomial._raw(ring, d) for d, _ in known]
+        gens = list(known)
         gens += [Polynomial._raw(ring, {swap(m): c for m, c in g._d.items()})
                  for g in (I.generators[len(S.generators):] if known else I.generators)]
-        G = buchberger(gens, order, _known=len(known))
-        b = [(g._d, g._lm_packed(order) >> top) for g in G]
+        b = buchberger(gens, _RevlexOrder(ring.nvars), _known=len(known))
         I._cache[("revlex", k)] = b
     return b
 
@@ -231,12 +222,11 @@ def _revlex_member(I, k):
 
     A Groebner basis under any order decides membership, so I need not be
     homogeneous; I must be nonzero.  Each f is swapped into the basis's
-    coordinates and reduced under `_RevlexOrder` against one reducer table.
+    coordinates and reduced against one reducer table.
     """
     ring = I.ring
     swap = _swapper(ring, k)
-    nf = reducer([Polynomial._raw(ring, d) for d, _ in _revlex_basis(I, k)],
-                 _RevlexOrder(ring.nvars))
+    nf = reducer(_revlex_basis(I, k))
 
     def member(f):
         if f.ring != ring:
@@ -262,14 +252,15 @@ def colon(I, f):
     k, e = power
     ring = I.ring
     swap = _swapper(ring, k)
+    basis = _revlex_basis(I, k)
     top = (ring.nvars - 1) * _BITS
     quotients = []
-    for d, nu in _revlex_basis(I, k):
-        a = min(e, nu)
-        if any(m >> top < a for m in d):
+    for g in basis:
+        a = min(e, g._lm_packed(basis.order) >> top)
+        if any(m >> top < a for m in g._d):
             raise RuntimeError("reverse-lex division failed; this indicates an engine bug")
         cut = a << top
-        quotients.append(Polynomial._raw(ring, {swap(m - cut): c for m, c in d.items()}))
+        quotients.append(Polynomial._raw(ring, {swap(m - cut): c for m, c in g._d.items()}))
     return Ideal(ring, quotients)
 
 
@@ -309,7 +300,9 @@ def saturate(I, f):
     if power is None:
         return _saturate_by_colons(I, f)
     k, e = power
-    j = max(nu for _, nu in _revlex_basis(I, k))
+    basis = _revlex_basis(I, k)
+    top = (I.ring.nvars - 1) * _BITS
+    j = max(g._lm_packed(basis.order) >> top for g in basis)
     n = -(-j // e)
     if n >= SATURATION_CAP:
         raise RuntimeError(f"saturation did not stabilize within {SATURATION_CAP} steps")
@@ -351,7 +344,7 @@ def radical_member(f, I):
                 return True
             g = g * f
     ext = extend(I.ring, ("y",))
-    gens = [lift(p, ext) for p in _working_gens(I)]
+    gens = [lift(p, ext) for p in I.generators]
     gens.append(1 - ext.var(1) * lift(f, ext))
     b = buchberger(gens, LEX)
     return len(b) == 1 and b[0].total_degree() == 0

@@ -67,16 +67,19 @@ def _reversal(ring):
     Reverses the order of the N exponent fields.  sigma rotates a Hankel
     matrix by 180 degrees, entry (i, j) to (m+1-i, n+1-j), so it permutes
     its 2x2 permanents; it is its own inverse.
+
+    Reading a monomial's 2N bytes in the opposite byte order reverses the
+    fields and, inside each 16-bit field, its two bytes; swapping those
+    back leaves each field's exponent in its mirrored place.
     """
-    shifts = [(i * _BITS, (ring.nvars - 1 - i) * _BITS) for i in range(ring.nvars)]
+    size = 2 * ring.nvars
+    low = int.from_bytes(b"\x00\xff" * ring.nvars, "big")  # the low byte of each field
 
     def reverse(f):
         out = {}
         for m, c in f._d.items():
-            r = 0
-            for a, b in shifts:
-                r |= ((m >> a) & _FMASK) << b
-            out[r] = c
+            r = int.from_bytes(m.to_bytes(size, "big"), "little")
+            out[((r & low) << 8) | ((r >> 8) & low)] = c
         return Polynomial._raw(ring, out)
 
     return reverse
@@ -448,25 +451,21 @@ def _outside_radical(case, Q, variables):
 
 
 def verify_decomposition(case):
-    """Check P2 = Q1 cap Q2 cap J on the components decompose computes.
+    """Check P2 = Q1 cap Q2 cap J on the record decomposition_summary returns.
 
-    Q1 and Q2 come from `_saturations`, as in decomposition_summary, whose
-    saturate computes c_{k+1} = (c_k : f).  Since ((I : f^k) : f) = (I : f^(k+1)),
-    it returns S = (I : f^n) with (I : f^n) = (I : f^(n+1)), and the chain
-    is stable from n on.  So S = Q1 with n <= 2 is the claim
-    (P2 : x_N^2) = (P2 : x_N^infinity) = Q1, N = r + 1, and likewise
-    ((P2 + (x_N^2)) : x1^2) = ((P2 + (x_N^2)) : x1^infinity) = Q2.  The
-    second saturation is computed as the mirror image of
-    (P2 + (x1^2)) : x_N^infinity, which has the same exponent (proved in
-    `_saturations`).
+    Its saturate computes c_{k+1} = (c_k : f).  Since
+    ((I : f^k) : f) = (I : f^(k+1)), it returns S = (I : f^n) with
+    (I : f^n) = (I : f^(n+1)), and the chain is stable from n on.  So
+    S = Q1 with n <= 2 is the claim (P2 : x_N^2) = (P2 : x_N^infinity) = Q1,
+    N = r + 1, and likewise ((P2 + (x_N^2)) : x1^2) =
+    ((P2 + (x_N^2)) : x1^infinity) = Q2.
 
     Also asserts that J is proper, which it is when no generator has a
     constant term (J then lies in the maximal ideal; only otherwise is
     `is_unit` asked), and that each x_k lies in rad(J), by
     `_outside_radical`, whose leading-term scan builds no basis of J.
     The detail records whether J is genuinely embedded, Q1 cap Q2 != P2,
-    as `classify_embedded` decides it, against the reverse-lex basis of P2
-    that the saturation at x_N has cached.
+    from the record's `j_redundant`.
 
     The triple intersection is not computed: the checks above prove it.
     The splitting lemma (Gianni-Trager-Zacharias, J. Symb. Comp. 6, 1988)
@@ -480,14 +479,14 @@ def verify_decomposition(case):
     t0 = time.perf_counter()
     claim = "decomp.main"
     failures = []
-    Q1, stab1, Q2, stab2 = _saturations(case)
-    J = embedded_j(case)
+    s = decomposition_summary(case)
+    J = s["j"]
 
-    for tag, got, stab, closed in (("q1", Q1, stab1, q1(case)), ("q2", Q2, stab2, q2(case))):
-        if not equal(got, closed):
-            w = why_unequal(got, closed)
+    for tag, closed in (("q1", q1(case)), ("q2", q2(case))):
+        if not equal(s[tag], closed):
+            w = why_unequal(s[tag], closed)
             failures.append({"kind": f"{tag}_mismatch", "witness": str(w)})
-        if stab > 2:
+        if s[f"{tag}_stab"] > 2:
             failures.append({"kind": f"{tag}_chain_not_stable"})
 
     if any(0 in g._d for g in J.generators) and J.is_unit:  # 0 packs the constant monomial
@@ -495,8 +494,8 @@ def verify_decomposition(case):
     elif (v := _outside_radical(case, J, case.maximal_ideal.generators)) is not None:
         failures.append({"kind": "radical_misses_variable", "variable": str(v)})
 
-    embedded = classify_embedded(case)
-    detail = f"q1_stab={stab1} q2_stab={stab2} embedded={'yes' if embedded else 'no'}"
+    embedded = "no" if s["j_redundant"] else "yes"
+    detail = f"q1_stab={s['q1_stab']} q2_stab={s['q2_stab']} embedded={embedded}"
     return _report(claim, case, t0, failures, detail)
 
 
@@ -533,10 +532,19 @@ def classify_embedded(case):
     return not all(nf(g).is_zero for g in case.p2.generators)
 
 
-def _saturations(case):
-    """(Q1, stab1, Q2, stab2): P2 saturated at x_N, then P2 + (x_N^2) at x1.
+def decomposition_summary(case):
+    """The decomposition data for one case, computed by saturation.
 
-    Q2 and stab2 come from the mirror image at x_N:
+    Q1 is P2 saturated at x_N, N = r + 1, and Q2 is P2 + (x_N^2) saturated
+    at x1; the stabilization exponents are the saturations' step counts.
+    J is P2 plus the two squared end variables.  J is redundant exactly
+    when Q1 cap Q2 already equals P2, as `classify_embedded` decides.  It
+    tests membership in P2 against the reverse-lex basis that the
+    saturation at x_N has just cached, so no lex basis of P2 is built;
+    without an alpha it also intersects the closed forms, which equal the
+    saturations wherever decomp.main passes.
+
+    Q2 and its exponent come from the mirror image at x_N:
     Q2 = sigma((P2 + (x1^2)) : x_N^infinity), sigma: x_i -> x_(N+1-i)
     (`_reversal`), with the same stabilization exponent.  sigma is a ring
     automorphism and its own inverse, so sigma(I : f) = (sigma(I) : sigma(f))
@@ -557,27 +565,9 @@ def _saturations(case):
     xN = case.x(case.nvars)
     Q1, stab1 = saturate(p2, xN)
     S, stab2 = saturate(p2 + case.x(1) ** 2, xN)
-    Q2 = Ideal(case.ring, map(_reversal(case.ring), S.generators))
-    return Q1, stab1, Q2, stab2
-
-
-def decomposition_summary(case):
-    """Compute the decomposition data for one case by saturation.
-
-    Q1 and Q2 are obtained as saturations (not from their closed forms),
-    J is P2 plus the two squared end variables, and the returned
-    stabilization exponents are the saturation step counts; the second
-    saturation runs at x_N too and is mirrored back (`_saturations`).  J
-    is redundant exactly when Q1 cap Q2 already equals P2, as
-    `classify_embedded` decides.  It tests membership in P2 against the
-    reverse-lex basis that the saturation at x_N has just cached, so no
-    lex basis of P2 is built; without an alpha it also intersects the
-    closed forms, which equal the saturations wherever decomp.main passes.
-    """
-    Q1, stab1, Q2, stab2 = _saturations(case)
     return {
         "q1": Q1,
-        "q2": Q2,
+        "q2": Ideal(case.ring, map(_reversal(case.ring), S.generators)),
         "j": embedded_j(case),
         "q1_stab": stab1,
         "q2_stab": stab2,

@@ -51,10 +51,9 @@ from permahank.verify import (
     _outside_radical,
     _report,
     _reversal,
-    _saturations,
 )
 from permahank.groebner import GroebnerBasis, _minimal_indices
-from permahank.ring import DEGLEX, LEX, _RevlexOrder
+from permahank.ring import _BITS, _FMASK, DEGLEX, LEX, Polynomial, Ring, _RevlexOrder
 from test_groebner import assert_agrees_with_all_pairs
 
 
@@ -301,16 +300,55 @@ def test_decomposition_detail(shape, detail):
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_second_saturation_matches_the_direct_one(char):
-    # _saturations takes Q2 as the mirror image of (P2 + (x1^2)) : x_N^inf,
-    # started from P2's cached basis; the direct saturation of P2 + (x_N^2)
-    # at x1 is the reference, compared by reduced lex basis and exponent
+    # decomposition_summary takes Q2 as the mirror image of
+    # (P2 + (x1^2)) : x_N^inf, started from P2's cached basis; the direct
+    # saturation of P2 + (x_N^2) at x1 is the reference, compared by reduced
+    # lex basis and exponent
     for shape in default_grid():
-        case = Case(*shape, char)
-        _, _, Q2, stab2 = _saturations(case)
+        s = decomposition_summary(Case(*shape, char))
         ref = Case(*shape, char)
         S, stab = saturate(ref.p2 + ref.x(ref.nvars) ** 2, ref.x(1))
-        assert stab2 == stab, shape
-        assert Q2.reduced_basis().elements == S.reduced_basis().elements, shape
+        assert s["q2_stab"] == stab, shape
+        assert s["q2"].reduced_basis().elements == S.reduced_basis().elements, shape
+
+
+def _reversal_by_fields(ring):
+    """The reference for `_reversal`: one exponent field at a time."""
+    shifts = [(i * _BITS, (ring.nvars - 1 - i) * _BITS) for i in range(ring.nvars)]
+
+    def reverse(f):
+        out = {}
+        for m, c in f._d.items():
+            r = 0
+            for a, b in shifts:
+                r |= ((m >> a) & _FMASK) << b
+            out[r] = c
+        return Polynomial._raw(ring, out)
+
+    return reverse
+
+
+def test_reversal_agrees_with_the_field_by_field_reference():
+    # random packed monomials whose exponents are the edge values of a byte
+    # and of a field, and P2's generators on the default grid
+    rng = random.Random(7)
+    edges = (0, 1, 255, 256, (1 << 15) - 1)
+    for nvars in (1, 2, 4, 23, 29, 4096):
+        ring = Ring(nvars)
+        monos = [
+            sum(rng.choice(edges) << (i * _BITS) for i in range(nvars))
+            for _ in range(40 if nvars < 4096 else 4)
+        ]
+        monos += [sum(e << (i * _BITS) for i in range(nvars)) for e in edges]
+        f = Polynomial._raw(ring, {m: ring.coeff(j + 1) for j, m in enumerate(set(monos))})
+        got = _reversal(ring)(f)
+        assert got == _reversal_by_fields(ring)(f), nvars
+        assert _reversal(ring)(got) == f, nvars
+    for char in (0, 32003):
+        for shape in default_grid():
+            case = Case(*shape, char)
+            fast, ref = _reversal(case.ring), _reversal_by_fields(case.ring)
+            assert [fast(g) for g in case.p2.generators] == [ref(g) for g in case.p2.generators]
 
 
 def test_reversal_maps_p2_onto_itself():
@@ -997,10 +1035,19 @@ def test_decomposition_builds_no_lex_basis_for_the_flag(monkeypatch):
 @pytest.mark.parametrize("char", [0, 32003])
 def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
     # on a passing shape: no intersection where an alpha shows the embedded
-    # component, and no lex basis of J or of a colon ideal
-    cases, meets, colons = [], [], []
+    # component, and no lex basis of J or of a colon ideal; one
+    # decomposition, read by decomp.main, with its two saturations and one
+    # embedded flag; and every basis cached on P2 and on P2 + (x1^2), the
+    # sum the second saturation starts from, is a GroebnerBasis, the
+    # reverse-lex ones reduced under the internal order
+    cases, meets, colons, summaries, flags, sats = [], [], [], [], [], []
     monkeypatch.setattr("permahank.verify.run_case", _counting(cases, run_case))
     monkeypatch.setattr("permahank.verify.intersect", _counting(meets, intersect))
+    monkeypatch.setattr(
+        "permahank.verify.decomposition_summary", _counting(summaries, decomposition_summary)
+    )
+    monkeypatch.setattr("permahank.verify.classify_embedded", _counting(flags, classify_embedded))
+    monkeypatch.setattr("permahank.verify.saturate", _counting(sats, saturate))
 
     def recording_colon(I, f):
         colons.append(colon(I, f))
@@ -1008,13 +1055,21 @@ def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
 
     monkeypatch.setattr("permahank.verify.colon", recording_colon)
     for shape in default_grid():
-        for calls in (cases, meets, colons):
+        for calls in (cases, meets, colons, summaries, flags, sats):
             calls.clear()
         assert all(r.passed for r in run_all([shape], char)), shape
         (case, _), = cases
         assert len(meets) == (0 if alphas(case) else 1), shape
         assert case.j._cache == {}, shape
         assert len(colons) == 2 and all(LEX not in C._cache for C in colons), shape
+        assert (len(summaries), len(flags), len(sats)) == (1, 1, 2), shape
+        (p2, _), (summed, _) = sats
+        assert p2 is case.p2 and summed.generators == p2.generators + (case.x(1) ** 2,), shape
+        for I in (p2, summed):
+            assert I._cache and all(type(b) is GroebnerBasis for b in I._cache.values()), shape
+            revlex = [b for key, b in I._cache.items() if key != LEX]
+            assert revlex == [I._cache["revlex", case.nvars]], shape
+            assert revlex[0].is_reduced and revlex[0].order == _RevlexOrder(case.nvars), shape
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -6,8 +6,8 @@ once per command, and prints one line per output: the sha256 of its stdout,
 two spaces, and the argv.  A command that exits nonzero gets its exit code
 appended.  Per shape and field the commands are `verify` as text and as
 JSON (every "millis" entry removed, since it is wall-clock time),
-`decompose`, `classify`, `gb` under lex and deglex, and `colon` by x1, xN,
-x1*x2, x2*xN^2 and 1 + x1, N the shape's number of variables.
+`decompose`, `classify`, `gb` under lex and deglex, and `colon` by x1,
+x2, xN, x1*x2, x2*xN^2 and 1 + x1, N the shape's number of variables.
 
     python3 scripts/output_digests.py > digests.txt
     python3 scripts/output_digests.py --grid 2x3,3x4
@@ -49,7 +49,7 @@ def commands(m, n, char):
         ["gb", *shape, "--order", "lex"],
         ["gb", *shape, "--order", "deglex"],
     ]
-    for f in ("x1", last, "x1*x2", f"x2*{last}^2", "1 + x1"):
+    for f in ("x1", "x2", last, "x1*x2", f"x2*{last}^2", "1 + x1"):
         out.append(["colon", f, *shape])
     return out
 

@@ -34,8 +34,8 @@ mark the fields where a's exponent is at least b's, which gives the lcm as
 a fieldwise maximum.
 
 A run may start from a known reduced basis K of part of the ideal
-(`buchberger`'s private `_known`, which `ideal_ops` passes when it
-saturates a sum I + gens whose summand I has its basis cached): K's
+(`buchberger`'s private `_known`, which `Ideal.reduced_basis` passes for
+a sum I + gens whose summand I has its basis under the order cached): K's
 elements enter as they are, with no pair update, and no pair of two of
 them is formed, since each such S-polynomial has an lcm-representation
 (proved in `buchberger`'s docstring).  The loop is the same one; only the
@@ -516,11 +516,12 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True, *, _known=0):
         ones too (but never one of two monomial entries): the all-pairs
         reference that the criteria must agree with.
     _known : int
-        Private, for `ideal_ops`: the first `_known` generators are already
-        the reduced Groebner basis K of their ideal under the order (monic,
-        none zero).  They enter as they are, with no pair update, so no pair
-        of two of them is ever queued; the other generators then enter and
-        pair as usual.  0 (default) is the plain run.
+        Private, for `Ideal.reduced_basis`: the first `_known` generators
+        are already the reduced Groebner basis K of their ideal under the
+        order (monic, none zero).  They enter as they are, with no pair
+        update, so no pair of two of them is ever queued; the other
+        generators then enter and pair as usual.  0 (default) is the
+        plain run.
 
     Returns
     -------

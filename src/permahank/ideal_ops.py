@@ -8,20 +8,19 @@ The elimination starts from the generators of I and J.
 
 Colon and saturation by a power of one variable x_k, with I given by
 homogeneous generators, come from one reduced Groebner basis G of I under
-a degree reverse-lex order with x_k as the smallest variable.  By Bayer's
+a degree reverse-lex order with x_k as the smallest variable
+(`_RevlexOrder(N, k)`), in the ring's own coordinates.  By Bayer's
 reverse-lex property (Bayer-Stillman 1987; Eisenbud, Commutative Algebra
 15.7) x_k^a divides a homogeneous g exactly when it divides lt(g), so
 dividing out powers of x_k keeps G a basis: (I : x_k^e) is generated by
 g / x_k^min(e, nu(g)) and (I : x_k^infinity) by g / x_k^nu(g), where nu is
 the exponent of x_k in lt(g), read off G's elements.  Those are all the
 colons and saturations the decomposition makes.  The basis of a sum
-I + gens extends I's cached basis at the same x_k: the run starts from
-I's reduced basis, which needs no pair among its own elements, so
-saturating P2 + (x1^2) at x_N after P2 costs only the pairs with x1^2 and
-what they produce.  The same cached basis also answers membership in I
-(`_revlex_member`), which is all the embedded-component test needs once
-P2 has been saturated at x_N.  Every other colon, by a monomial of several
-variables too, is the reference path: (I : f) = (I cap (f)) / f
+I + gens under any order extends I's cached basis under the same order:
+the run starts from I's reduced basis, which needs no pair among its own
+elements, so saturating P2 + (x_N^2) at x1 after P2 costs only the pairs
+with x_N^2 and what they produce.  Every other colon, by a monomial of
+several variables too, is the reference path: (I : f) = (I cap (f)) / f
 (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 4), the
 generators of the intersection divided exactly by f.  One reverse-lex
 basis per variable of a monomial costs more than that one elimination.
@@ -46,16 +45,18 @@ class Ideal:
 
     Reduced Groebner bases are computed lazily and cached per monomial
     order, so repeated membership and equality tests against the same
-    ideal cost one basis computation.  The reverse-lex basis behind colon
-    and saturation by a variable is cached the same way, per variable,
-    under the key ("revlex", k); every cached value is a GroebnerBasis.  A
-    sum I + gens remembers I, whose generators begin its own, so that its
-    reverse-lex basis can start from I's (`_revlex_basis`).
+    ideal cost one basis computation.  The reverse-lex bases behind colon
+    and saturation by a variable are cached the same way, under their
+    `_RevlexOrder`.  A sum I + gens remembers I, whose generators begin its
+    own, so that its basis under an order can start from I's
+    (`reduced_basis`).
     """
 
     __slots__ = ("ring", "generators", "_cache", "_summand")
 
     def __init__(self, ring, generators=(), _basis=None):
+        if not isinstance(ring, Ring):
+            raise TypeError("an ideal needs a Ring as its first argument")
         gens = []
         for g in generators:
             if g.ring != ring:
@@ -74,13 +75,24 @@ class Ideal:
         return not self.generators
 
     def reduced_basis(self, order=LEX):
-        """The unique reduced Groebner basis under the order (cached)."""
+        """The unique reduced Groebner basis under the order (cached).
+
+        When this ideal was built as a sum S + gens and S has its basis
+        under the order cached, the run starts from that basis, then the
+        new generators (`buchberger`'s `_known`), so no pair of two
+        elements of S's basis is formed.
+        """
         b = self._cache.get(order)
         if b is None:
-            if not self.generators:
-                b = GroebnerBasis((), order, True)
+            S = self._summand
+            known = () if S is None else S._cache.get(order, ())
+            gens = self.generators
+            if known:
+                gens = known.elements + gens[len(S.generators):]
+            if gens:
+                b = buchberger(gens, order, _known=len(known))
             else:
-                b = buchberger(self.generators, order)
+                b = GroebnerBasis((), order, True)
             self._cache[order] = b
         return b
 
@@ -172,68 +184,15 @@ def _variable_power(I, f):
     return k[0], _degree(m)
 
 
-def _swapper(ring, k):
-    """Packed-monomial map trading the fields of x1 and x_k.
-
-    A ring automorphism and its own inverse.
-    """
-    top = (ring.nvars - 1) * _BITS
-    low = (ring.nvars - k) * _BITS
-
-    def swap(m):
-        x = ((m >> top) ^ (m >> low)) & _FMASK
-        return m ^ (x << top) ^ (x << low)
-
-    return swap
-
-
 def _revlex_basis(I, k):
     """The reduced degree reverse-lex basis of I with x_k smallest, cached on I.
 
-    A GroebnerBasis under `_RevlexOrder`, which puts x1 smallest, so its
-    elements hold x_k in x1's field and x1 in x_k's (see `_swapper`).
-
-    When I was built as a sum S + gens and S has this basis cached, the
-    run starts from it: S's reduced basis, in the same coordinates, then
-    the swapped new generators (`buchberger`'s `_known`), so no pair of
-    two elements of S's basis is formed.  Otherwise it starts from I's
-    generators.
+    Refuses generators of degree past 2**15 - 1, the range of the order's key.
     """
-    b = I._cache.get(("revlex", k))
-    if b is None:
-        if any(g.total_degree() > _EMAX for g in I.generators):
-            raise ValueError(
-                "degree reached 2**15, past the range of the reverse-lex order"
-            )
-        ring = I.ring
-        swap = _swapper(ring, k)
-        S = I._summand
-        known = () if S is None else S._cache.get(("revlex", k), ())
-        gens = list(known)
-        gens += [Polynomial._raw(ring, {swap(m): c for m, c in g._d.items()})
-                 for g in (I.generators[len(S.generators):] if known else I.generators)]
-        b = buchberger(gens, _RevlexOrder(ring.nvars), _known=len(known))
-        I._cache[("revlex", k)] = b
-    return b
-
-
-def _revlex_member(I, k):
-    """The map f -> whether f lies in I, decided by `_revlex_basis(I, k)`.
-
-    A Groebner basis under any order decides membership, so I need not be
-    homogeneous; I must be nonzero.  Each f is swapped into the basis's
-    coordinates and reduced against one reducer table.
-    """
-    ring = I.ring
-    swap = _swapper(ring, k)
-    nf = reducer(_revlex_basis(I, k))
-
-    def member(f):
-        if f.ring != ring:
-            raise ValueError("polynomial outside the ring")
-        return nf(Polynomial._raw(ring, {swap(m): c for m, c in f._d.items()})).is_zero
-
-    return member
+    order = _RevlexOrder(I.ring.nvars, k)
+    if order not in I._cache and any(g.total_degree() > _EMAX for g in I.generators):
+        raise ValueError("degree reached 2**15, past the range of the reverse-lex order")
+    return I.reduced_basis(order)
 
 
 def colon(I, f):
@@ -251,16 +210,17 @@ def colon(I, f):
         return _colon_by_elimination(I, f)
     k, e = power
     ring = I.ring
-    swap = _swapper(ring, k)
     basis = _revlex_basis(I, k)
-    top = (ring.nvars - 1) * _BITS
+    low = (ring.nvars - k) * _BITS
     quotients = []
     for g in basis:
-        a = min(e, g._lm_packed(basis.order) >> top)
-        if any(m >> top < a for m in g._d):
-            raise RuntimeError("reverse-lex division failed; this indicates an engine bug")
-        cut = a << top
-        quotients.append(Polynomial._raw(ring, {swap(m - cut): c for m, c in g._d.items()}))
+        a = min(e, g._lm_packed(basis.order) >> low & _FMASK)
+        if a:
+            if any(m >> low & _FMASK < a for m in g._d):
+                raise RuntimeError("reverse-lex division failed; this indicates an engine bug")
+            cut = a << low
+            g = Polynomial._raw(ring, {m - cut: c for m, c in g._d.items()})
+        quotients.append(g)
     return Ideal(ring, quotients)
 
 
@@ -301,8 +261,8 @@ def saturate(I, f):
         return _saturate_by_colons(I, f)
     k, e = power
     basis = _revlex_basis(I, k)
-    top = (I.ring.nvars - 1) * _BITS
-    j = max(g._lm_packed(basis.order) >> top for g in basis)
+    low = (I.ring.nvars - k) * _BITS
+    j = max(g._lm_packed(basis.order) >> low & _FMASK for g in basis)
     n = -(-j // e)
     if n >= SATURATION_CAP:
         raise RuntimeError(f"saturation did not stabilize within {SATURATION_CAP} steps")

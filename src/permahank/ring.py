@@ -116,9 +116,14 @@ DEGLEX = MonomialOrder("deglex")
 
 @dataclass(frozen=True)
 class _RevlexOrder:
-    """Degree reverse-lex with xN > ... > x2 > x1: x1 is the smallest variable.
+    """Degree reverse-lex with x_smallest as the smallest variable.
 
-    Internal to colon and saturation by a variable (see `ideal_ops`).
+    With smallest = 1 the variables rank xN > ... > x2 > x1.  Any other
+    k = smallest ranks them as if x1 and x_k traded places,
+    xN > ... > x_(k+1) > x1 > x_(k-1) > ... > x2 > x_k: the key transposes
+    the two exponent fields first.  Internal to colon and saturation by a
+    variable (see `ideal_ops`).
+
     Multiplying a packed monomial by ONES (a 1 in every field) packs the
     prefix sums S_j = e_1 + ... + e_j into the fields above the N-th;
     among monomials of one degree a smaller S_1, then S_2, ..., is larger.
@@ -136,6 +141,7 @@ class _RevlexOrder:
     """
 
     nvars: int
+    smallest: int = 1
     kind = "degrevlex"
     is_lexlike = False
 
@@ -147,6 +153,8 @@ class _RevlexOrder:
         # built once per order: Polynomial._lm_packed asks for it per polynomial
         ones = sum(1 << (i * _BITS) for i in range(self.nvars))
         shift = self.nvars * _BITS
+        top = (self.nvars - 1) * _BITS
+        low = (self.nvars - self.smallest) * _BITS
 
         def key(m):
             d = m % _DEGMOD
@@ -158,7 +166,17 @@ class _RevlexOrder:
             # degree in the bits above decides first, as a tuple key would
             return (d << shift) - ((m * ones) >> shift)
 
-        return key
+        def transposed(m):
+            # key inlined, after x1's and x_smallest's fields trade places
+            d = m % _DEGMOD
+            if d > _EMAX:
+                raise ValueError(
+                    "degree reached 2**15, past the range of the reverse-lex order"
+                )
+            x = ((m >> top) ^ (m >> low)) & _FMASK
+            return (d << shift) - (((m ^ (x << top) ^ (x << low)) * ones) >> shift)
+
+        return key if low == top else transposed
 
 
 class Ring:

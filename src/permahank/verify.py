@@ -30,7 +30,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .ring import _BITS, _FMASK, LEX, Polynomial
+from .ring import _BITS, _FMASK, LEX, Polynomial, _RevlexOrder
 from .groebner import (
     inter_reduce,
     is_groebner,
@@ -41,7 +41,6 @@ from .groebner import (
 from .ideal_ops import (
     Ideal,
     _has_homogeneous_generators,
-    _revlex_member,
     colon,
     equal,
     intersect,
@@ -512,14 +511,18 @@ def classify_embedded(case):
     alpha in q1, and x1 is not in P2', so x1 * alpha in q2 puts alpha in q2.
 
     The three memberships are in P2 alone, decided against the reverse-lex
-    basis with x_N smallest that `saturate(P2, x_N)` caches on P2
-    (`_revlex_member`), so no basis of Q1 or Q2 is built.  Otherwise
-    `case.q1q2`, the intersection of the closed forms, is compared with P2
-    by containment both ways: its generators by the same reverse-lex
-    basis of P2, and P2's generators by the lex basis of the intersection,
-    which `intersect` returns cached.  So no lex basis of P2 is built.
+    basis with x1 smallest that `saturate(P2, x1)` caches on P2, so no
+    basis of Q1 or Q2 is built.  Otherwise `case.q1q2`, the intersection
+    of the closed forms, is compared with P2 by containment both ways: its
+    generators by the same reverse-lex basis of P2, and P2's generators by
+    the lex basis of the intersection, which `intersect` returns cached.
+    So no lex basis of P2 is built.
     """
-    in_p2 = _revlex_member(case.p2, case.nvars)
+    nf_p2 = reducer(case.p2.reduced_basis(_RevlexOrder(case.nvars)))
+
+    def in_p2(f):
+        return nf_p2(f).is_zero
+
     al = alphas(case)
     if al is not None:
         x1, xN = case.x(1), case.x(case.nvars)
@@ -540,34 +543,29 @@ def decomposition_summary(case):
     J is P2 plus the two squared end variables.  J is redundant exactly
     when Q1 cap Q2 already equals P2, as `classify_embedded` decides.  It
     tests membership in P2 against the reverse-lex basis that the
-    saturation at x_N has just cached, so no lex basis of P2 is built;
+    saturation at x1 has just cached, so no lex basis of P2 is built;
     without an alpha it also intersects the closed forms, which equal the
     saturations wherever decomp.main passes.
 
-    Q2 and its exponent come from the mirror image at x_N:
-    Q2 = sigma((P2 + (x1^2)) : x_N^infinity), sigma: x_i -> x_(N+1-i)
+    Both saturations run at x1, the smallest variable of the reverse-lex
+    order, so the second one's basis starts from P2's reduced basis plus
+    x_N^2 (`Ideal.reduced_basis`).  Q1 and its exponent come from the
+    mirror image: Q1 = sigma(P2 : x1^infinity), sigma: x_i -> x_(N+1-i)
     (`_reversal`), with the same stabilization exponent.  sigma is a ring
     automorphism and its own inverse, so sigma(I : f) = (sigma(I) : sigma(f))
-    for any ideal I and f, and sigma carries the chain (I : f^n), n >= 0,
-    term by term onto the chain (sigma(I) : sigma(f)^n).  One chain is
-    stable from n on exactly when the other is, so the two saturations
-    correspond under sigma and stabilize at the same n.  sigma rotates the
-    Hankel matrix by 180 degrees and so permutes P2's generators:
-    sigma(P2) = P2, and with sigma(x1) = x_N,
-    sigma(P2 + (x1^2)) = P2 + (x_N^2).  Taking I = P2 + (x1^2) and f = x_N
-    gives sigma((P2 + (x1^2)) : x_N^n) = ((P2 + (x_N^2)) : x1^n) for all n.
-
-    Both saturations are then at x_N, under the one internal order that
-    the first caches on P2, so the second one's basis starts from P2's
-    reduced basis plus x1^2 (`ideal_ops._revlex_basis`).
+    for any ideal I and f.  sigma rotates the Hankel matrix by 180 degrees
+    and so permutes P2's generators: sigma(P2) = P2, and with
+    sigma(x1) = x_N, (P2 : x_N^n) = sigma(P2 : x1^n) for every n.  One
+    chain is stable from n on exactly when the other is, so both stabilize
+    at the same n.
     """
     p2 = case.p2
-    xN = case.x(case.nvars)
-    Q1, stab1 = saturate(p2, xN)
-    S, stab2 = saturate(p2 + case.x(1) ** 2, xN)
+    x1 = case.x(1)
+    S, stab1 = saturate(p2, x1)
+    Q2, stab2 = saturate(p2 + case.x(case.nvars) ** 2, x1)
     return {
-        "q1": Q1,
-        "q2": Ideal(case.ring, map(_reversal(case.ring), S.generators)),
+        "q1": Ideal(case.ring, map(_reversal(case.ring), S.generators)),
+        "q2": Q2,
         "j": embedded_j(case),
         "q1_stab": stab1,
         "q2_stab": stab2,

@@ -464,7 +464,7 @@ def test_output_digests_script_on_2x3(capsys):
     spec.loader.exec_module(script)
     assert script.run(["--grid", "2x3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * 11 and not any("exit" in line for line in lines)
+    assert len(lines) == 2 * 12 and not any("exit" in line for line in lines)
     digests = dict(reversed(line.split("  ", 1)) for line in lines)
     for char in (0, 32003):
         got = digests[f"verify --grid 2x3 --char {char} --format json"]

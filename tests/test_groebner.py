@@ -32,8 +32,7 @@ from permahank import (
 )
 from permahank import groebner
 from permahank.groebner import _exact_div, _minimal_lcms, _monomial_pairs, _nf_dict, _prepare
-from permahank.ideal_ops import _swapper
-from permahank.ring import _RevlexOrder
+from permahank.ring import _BITS, _FMASK, Polynomial, _RevlexOrder
 
 
 def perms(m, n, char=0):
@@ -369,21 +368,13 @@ def test_reduced_basis_enters_unchanged(name, char):
 # -- a start from a known reduced basis ----------------------------------------
 
 
-def swapped_perms(m, n, char):
-    """P2's generators with x1 and x_N traded, as saturation at x_N sees them."""
-    gens = perms(m, n, char)
-    R = gens[0].ring
-    swap = _swapper(R, R.nvars)
-    return [R.poly((c, R.unpack(swap(m))) for m, c in g._d.items()) for g in gens]
-
-
 @pytest.mark.parametrize("char", [0, 32003])
 def test_start_from_p2s_basis_on_the_default_grid(char):
-    # the second saturation's run: P2's reduced reverse-lex basis with x_N
-    # smallest, then x1^2 (x_N^2 after the swap), against the run from the
-    # raw generators, with and without the criteria
+    # the second saturation's run: P2's reduced reverse-lex basis with x1
+    # smallest, then x_N^2, against the run from the raw generators, with
+    # and without the criteria
     for shape in default_grid():
-        gens = swapped_perms(*shape, char)
+        gens = perms(*shape, char)
         R = gens[0].ring
         order = _RevlexOrder(R.nvars)
         K = buchberger(gens, order)
@@ -524,6 +515,54 @@ def test_no_s_polynomial_of_two_monomial_entries(shape, char, name, ideal, monke
         assert (len(B), digest(B)) == REDUCED_BASES[shape, char, name, ideal]
 
 
+# -- reverse-lex with any smallest variable -------------------------------------
+
+
+def swapper(ring, k):
+    """Packed-monomial map trading the fields of x1 and x_k; its own inverse.
+
+    The reference for `_RevlexOrder(N, k)`, whose key is the key of
+    `_RevlexOrder(N)` read after this swap: colon and saturation by x_k
+    once ran under `_RevlexOrder(N)` on generators swapped by it.
+    """
+    top = (ring.nvars - 1) * _BITS
+    low = (ring.nvars - k) * _BITS
+
+    def swap(m):
+        x = ((m >> top) ^ (m >> low)) & _FMASK
+        return m ^ (x << top) ^ (x << low)
+
+    return swap
+
+
+def swapped(polys, k):
+    R = polys[0].ring
+    swap = swapper(R, k)
+    return tuple(Polynomial._raw(R, {swap(m): c for m, c in f._d.items()}) for f in polys)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("shape", ["3x4", "4x5", "2x6"])
+def test_transposed_revlex_agrees_with_the_run_on_swapped_generators(shape, char):
+    # for every k: the raw and the reduced basis under _RevlexOrder(N, k)
+    # are the swapped bases of the run on swapped generators under
+    # _RevlexOrder(N), the path colon by x_k took before the order could
+    # name its smallest variable
+    gens = perms(*map(int, shape.split("x")), char)
+    R = gens[0].ring
+    N = R.nvars
+    plain = _RevlexOrder(N)
+    assert _RevlexOrder(N, 1) == plain
+    for k in range(1, N + 1):
+        order = _RevlexOrder(N, k)
+        key, ref_key, swap = order.key(), plain.key(), swapper(R, k)
+        for reduce in (True, False):
+            got = buchberger(gens, order, reduce=reduce).elements
+            ref = buchberger(swapped(gens, k), plain, reduce=reduce).elements
+            assert got == swapped(ref, k), (k, reduce)
+            assert all(key(m) == ref_key(swap(m)) for f in got for m in f._d), k
+
+
 # S-polynomials Buchberger forms on P2 of 4x5, recorded while an entering
 # monomial's lcms were still grouped with every earlier leading term: a pair
 # selection that queues more or fewer pairs fails here even where the raw
@@ -535,11 +574,9 @@ PAIRS_FORMED_4X5 = {"lex": 36, "revlex": 34}
 @pytest.mark.parametrize("name", sorted(PAIRS_FORMED_4X5))
 def test_pairs_formed_on_4x5(name, char, monkeypatch):
     gens = perms(4, 5, char)
-    R = gens[0].ring
-    if name == "revlex":  # reverse-lex with x_N smallest, as colon by x_N uses
-        swap = _swapper(R, R.nvars)
-        gens = [R.poly((c, R.unpack(swap(m))) for m, c in g._d.items()) for g in gens]
-    order = entry_order(name, R.nvars)
+    N = gens[0].ring.nvars
+    # reverse-lex with x_N smallest, as colon by x_N uses
+    order = _RevlexOrder(N, N) if name == "revlex" else entry_order(name, N)
     formed = []
     spoly = groebner._spoly_dict
 

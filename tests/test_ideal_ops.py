@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from permahank import (
+    DEGLEX,
+    LEX,
     Case,
     HankelMatrix,
     Ideal,
@@ -29,7 +31,7 @@ from permahank import (
 from permahank import ideal_ops
 from permahank.ideal_ops import (
     _colon_by_elimination,
-    _revlex_member,
+    _revlex_basis,
     _saturate_by_colons,
     _variable_power,
 )
@@ -62,6 +64,12 @@ def test_ideal_construction(R):
     assert Ideal(R, [R.one()]).is_unit
     with pytest.raises(ValueError):
         Ideal(R, [Ring(3).var(1)])
+    # the ring comes first: a generator list in its place is refused, not
+    # read as a ring with no generators
+    with pytest.raises(TypeError):
+        Ideal([R.var(1) * R.var(2)])
+    with pytest.raises(TypeError):
+        Ideal(None, [R.var(1)])
 
 
 def test_membership(P2, R):
@@ -311,15 +319,16 @@ def test_revlex_membership_agrees_with_the_lex_basis(char):
         nf = reducer(P2.reduced_basis())
         want = [nf(f).is_zero for f in polys]
         assert True in want and False in want, (m, n)
-        for k in (1, N):
-            member = _revlex_member(P2, k)
-            assert [member(f) for f in polys] == want, (m, n, k)
+        for k in (1, 2, N):
+            nf_k = reducer(_revlex_basis(P2, k))
+            assert [nf_k(f).is_zero for f in polys] == want, (m, n, k)
 
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_saturation_of_a_sum_starts_from_the_summands_basis(char, monkeypatch):
-    # the reverse-lex basis of I + gens at x_k extends I's cached basis at the
-    # same k, and only then; every way gives the reference saturation
+    # the basis of I + gens under an order extends I's cached basis under the
+    # same order, and only then: the reverse-lex basis at x_k, and the lex
+    # and deglex bases alike; every way gives the reference basis
     R = Ring(4, char)
     x = R.var
     I = ideal(R, "x1*x3 - x2^2", "x2*x4 - x3^2", "x1*x4 - 5*x2*x3")  # not Hankel
@@ -344,6 +353,16 @@ def test_saturation_of_a_sum_starts_from_the_summands_basis(char, monkeypatch):
         assert [bool(r) for r in runs] == [seeded], (str(f), k)
         ref, s_ref = _saturate_by_colons(Ideal(R, (J + f).generators), x(k))
         assert (lex_strs(got[0]), got[1]) == (lex_strs(ref), s_ref), (str(f), k)
+    f = x(2) * x(3) + x(4) ** 2
+    for order, other in ((LEX, DEGLEX), (DEGLEX, LEX)):
+        for cached, seeded in ((order, True), (other, False), (None, False)):
+            J = Ideal(R, I.generators)
+            if cached is not None:
+                J.reduced_basis(cached)
+            runs.clear()
+            got = (J + f).reduced_basis(order)
+            assert [bool(r) for r in runs] == [seeded], (order, cached)
+            assert got == buchberger((J + f).generators, order), (order, cached)
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -1007,10 +1007,11 @@ def test_alpha_flag_needs_all_three_conditions(monkeypatch):
 def test_decomposition_builds_no_lex_basis_for_the_flag(monkeypatch):
     # the flag comes from the reverse-lex basis of P2 that the first
     # saturation caches: the only reverse-lex Buchberger runs are the two
-    # saturations', the second one starts from the first one's basis plus
-    # x1^2 (in the swapped coordinates, x_N^2), and no lex basis of P2, Q1
-    # or Q2 is built.  4x5 lists no alpha: there the intersection of the
-    # closed forms, an elimination under lex, decides by containment.
+    # saturations', both at x1, the order's own smallest variable; the
+    # second one starts from the first one's basis plus x_N^2, and no lex
+    # basis of P2, Q1 or Q2 is built.  4x5 lists no alpha: there the
+    # intersection of the closed forms, an elimination under lex, decides
+    # by containment.
     runs = []
 
     def recording(gens, order, *args, **kwargs):
@@ -1024,7 +1025,7 @@ def test_decomposition_builds_no_lex_basis_for_the_flag(monkeypatch):
         case = Case(*shape)
         assert decomposition_summary(case)["j_redundant"] is redundant
         first, second = runs[:2]
-        assert [type(r[1]) for r in runs] == [_RevlexOrder] * 2 + [type(LEX)] * (len(runs) - 2)
+        assert [r[1] for r in runs] == [_RevlexOrder(case.nvars)] * 2 + [LEX] * (len(runs) - 2)
         assert len(runs) == (2 if alphas(case) else 3)
         assert first[2] == {"_known": 0} and second[2] == {"_known": len(first[3])}
         assert second[0] == first[3].elements + (case.x(case.nvars) ** 2,)
@@ -1037,9 +1038,9 @@ def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
     # on a passing shape: no intersection where an alpha shows the embedded
     # component, and no lex basis of J or of a colon ideal; one
     # decomposition, read by decomp.main, with its two saturations and one
-    # embedded flag; and every basis cached on P2 and on P2 + (x1^2), the
-    # sum the second saturation starts from, is a GroebnerBasis, the
-    # reverse-lex ones reduced under the internal order
+    # embedded flag; and every basis cached on P2 and on P2 + (x_N^2), the
+    # sum the second saturation starts from, is a GroebnerBasis keyed by
+    # its order, the one reverse-lex basis reduced with x1 smallest
     cases, meets, colons, summaries, flags, sats = [], [], [], [], [], []
     monkeypatch.setattr("permahank.verify.run_case", _counting(cases, run_case))
     monkeypatch.setattr("permahank.verify.intersect", _counting(meets, intersect))
@@ -1064,12 +1065,14 @@ def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
         assert len(colons) == 2 and all(LEX not in C._cache for C in colons), shape
         assert (len(summaries), len(flags), len(sats)) == (1, 1, 2), shape
         (p2, _), (summed, _) = sats
-        assert p2 is case.p2 and summed.generators == p2.generators + (case.x(1) ** 2,), shape
+        assert p2 is case.p2, shape
+        assert summed.generators == p2.generators + (case.x(case.nvars) ** 2,), shape
         for I in (p2, summed):
             assert I._cache and all(type(b) is GroebnerBasis for b in I._cache.values()), shape
+            assert all(b.order == key for key, b in I._cache.items()), shape
             revlex = [b for key, b in I._cache.items() if key != LEX]
-            assert revlex == [I._cache["revlex", case.nvars]], shape
-            assert revlex[0].is_reduced and revlex[0].order == _RevlexOrder(case.nvars), shape
+            assert revlex == [I._cache[_RevlexOrder(case.nvars)]], shape
+            assert revlex[0].is_reduced, shape
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -6,8 +6,10 @@ once per command, and prints one line per output: the sha256 of its stdout,
 two spaces, and the argv.  A command that exits nonzero gets its exit code
 appended.  Per shape and field the commands are `verify` as text and as
 JSON (every "millis" entry removed, since it is wall-clock time),
-`decompose`, `classify`, `gb` under lex and deglex, and `colon` by x1,
-x2, xN, x1*x2, x2*xN^2 and 1 + x1, N the shape's number of variables.
+`verify --check G` for each claim group G alone, `decompose`, `classify`,
+`gb` under lex and deglex, and `colon` by x1, x2, xN, x1*x2, x2*xN^2 and
+1 + x1, N the shape's number of variables.  A group run alone starts from
+no basis that another group would have cached first.
 
     python3 scripts/output_digests.py > digests.txt
     python3 scripts/output_digests.py --grid 2x3,3x4
@@ -31,7 +33,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from permahank.cli import _parse_grid, main  # noqa: E402
-from permahank.verify import default_grid  # noqa: E402
+from permahank.verify import CHECK_NAMES, default_grid  # noqa: E402
 
 CHARS = (0, 32003)
 
@@ -44,6 +46,7 @@ def commands(m, n, char):
     out = [
         ["verify", *grid],
         ["verify", *grid, "--format", "json"],
+        *(["verify", *grid, "--check", group] for group in CHECK_NAMES),
         ["decompose", *shape],
         ["classify", *shape],
         ["gb", *shape, "--order", "lex"],

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .ring import _BITS, Polynomial, Ring
+from .ring import Polynomial, Ring, _packed_variables
 from .ideal_ops import Ideal
 
 
@@ -109,13 +109,9 @@ def permanent_generators(M):
     """
     ring = M.ring
     one = ring.coeff(1)
-    top = ring.nvars
-
-    def x(i):  # the packed monomial x_i
-        return 1 << ((top - i) * _BITS)
-
+    x = _packed_variables(ring.nvars)  # x[i] is the packed monomial x_i
     return [
-        Polynomial._raw(ring, {x(i) + x(i + s + t): one, x(i + s) + x(i + t): one})
+        Polynomial._raw(ring, {x[i] + x[i + s + t]: one, x[i + s] + x[i + t]: one})
         for i, s, t in permanent_index_triples(M.m, M.n)
     ]
 

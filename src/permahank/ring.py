@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 _BITS = 16
@@ -48,6 +48,16 @@ def _deglex_key(m):
 
 def _lex_key(m):
     return m
+
+
+@lru_cache(maxsize=None)
+def _packed_variables(nvars):
+    """(0, x1, ..., xN) as packed monomials: entry i is x_i, entry 0 the constant.
+
+    x_i is 1 in the field N - i places above x_N's, so a product of
+    variables is the sum of their entries.
+    """
+    return (0,) + tuple(1 << (nvars - i) * _BITS for i in range(1, nvars + 1))
 
 
 class ParseError(ValueError):
@@ -328,9 +338,7 @@ class Ring:
         """The variable x_i (1-based)."""
         if not 1 <= i <= self.nvars:
             raise ValueError(f"variable index {i} out of range 1..{self.nvars}")
-        return Polynomial._raw(
-            self, {1 << ((self.nvars - i) * _BITS): self.coeff(1)}
-        )
+        return Polynomial._raw(self, {_packed_variables(self.nvars)[i]: self.coeff(1)})
 
     def monomial(self, exps, c=1):
         c = self.coeff(c)

@@ -20,6 +20,12 @@ on failure, a machine-checkable witness.
 
 A check does not compute what the facts it checks already prove; the
 proof is in its docstring, and the computation lives on in the tests.
+So no basis is built twice: a passing closed-form check proves its
+interreduction to be P2's reduced lex basis and caches it on P2 for the
+later checks; the decomposition compares each saturation with its closed
+form by containment, against the saturation's own reverse-lex basis and
+the closed form's lex basis; and the S-polynomials of two permanents
+u + v are formed on packed monomials.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .ring import _BITS, _FMASK, LEX, Polynomial, _RevlexOrder
+from .ring import _BITS, _FMASK, LEX, Polynomial, _packed_variables, _RevlexOrder, _degree
 from .groebner import (
+    GroebnerBasis,
     inter_reduce,
     is_groebner,
     normal_form,  # unused here, but perfbench's tracer wraps verify.normal_form
@@ -42,7 +49,6 @@ from .ideal_ops import (
     Ideal,
     _has_homogeneous_generators,
     colon,
-    equal,
     intersect,
     radical_member,
     saturate,
@@ -372,30 +378,71 @@ def _basis_failure(G, H=None):
     return None
 
 
+def _all_inside(polys, basis, order=None):
+    """Whether every one of the polys lies in the ideal of the Groebner basis.
+
+    A poly lies in the ideal of a Groebner basis exactly when it reduces to
+    zero modulo the basis, under the basis's order (`reducer`'s default).
+    No reducer table is built for an empty list.
+    """
+    polys = list(polys)
+    if not polys:
+        return True
+    if not len(basis):
+        return False
+    nf = reducer(basis, order)
+    return all(nf(f).is_zero for f in polys)
+
+
 def verify_gb(case):
     """Check the closed-form basis claim for the case's shape.
 
     Two sub-checks: the closed form G is a Groebner basis
-    (`_basis_failure`), and its interreduction equals the engine's reduced
+    (`_basis_failure`), and its interreduction H equals the reduced lex
     basis of P2.  Shapes whose printed set is genuinely reduced ((2,3) and
     (3,3)) must additionally match the reduced basis verbatim; for the
     others the literal comparison is recorded in the detail field.
 
-    That G generates P2, and so lies in it, needs no check: a G that
-    passes `_basis_failure` is a Groebner basis of (G), so `inter_reduce(G)`
-    is the reduced basis of (G), which is unique; equal to P2's, it gives
-    (G) = P2, which contains G.  So any (G) != P2 fails as
-    `interreduction_mismatch`, and an element of G outside P2 fails one of
-    the two sub-checks.
+    The second sub-check builds no lex basis of P2 when it passes.  Once
+    `_basis_failure` passes, H is the reduced lex basis of (G), and
+    (G) = P2 is decided by containment both ways.  An element of G lies in
+    P2 when it is a generator of P2 or reduces to zero modulo P2's reduced
+    reverse-lex basis with x1 smallest, a Groebner basis of P2 (the one
+    the decomposition's first saturation caches).  A generator of P2 lies
+    in (G) when it is an element of G or reduces to zero modulo H, a
+    Groebner basis of (G).  Then H is the reduced lex basis of (G) = P2,
+    which is unique, so it becomes P2's cached lex basis, the one a lex
+    Buchberger run would return; the later claims read it from there.  A
+    lex basis of P2 cached before is kept and H is still compared with it.
+    When a containment fails, (G) != P2 and H differs from P2's reduced
+    basis, which is then built to list the difference as
+    `interreduction_mismatch`.  It is built too when G is no Groebner
+    basis, for the detail and the literal comparison.
+
+    That G generates P2, and so lies in it, needs no other check: any
+    (G) != P2 fails as `interreduction_mismatch`, and an element of G
+    outside P2 fails one of the two sub-checks.
     """
     t0 = time.perf_counter()
     claim = f"gb.{case.shape_class.value}"
     cf = closed_form_gb(case)
-    reduced = case.p2.reduced_basis()
+    p2 = case.p2
     failures = []
 
     interreduced = inter_reduce(cf)
     failure = _basis_failure(cf, interreduced)
+    gens, listed = set(p2.generators), set(cf)
+    proven = (
+        failure is None
+        and _all_inside(
+            (g for g in cf if g not in gens), p2.reduced_basis(_RevlexOrder(case.nvars))
+        )
+        and _all_inside((g for g in p2.generators if g not in listed), interreduced)
+    )
+    if proven:
+        reduced = p2._set_basis(GroebnerBasis(interreduced, LEX, True))
+    else:
+        reduced = p2.reduced_basis()
     if failure is not None:
         failures.append(failure)
     elif tuple(interreduced) != reduced.elements:
@@ -459,6 +506,27 @@ def verify_decomposition(case):
     N = r + 1, and likewise ((P2 + (x_N^2)) : x1^2) =
     ((P2 + (x_N^2)) : x1^infinity) = Q2.
 
+    Each saturation is compared with its closed form by containment both
+    ways, against bases already held, so no lex basis of a saturation is
+    built.  Both saturations run at x1 on ideals with homogeneous
+    generators, P2 and P2 + (x_N^2), so `saturate` read each off the
+    input's reduced reverse-lex basis G with x1 smallest.  With exponent
+    n > 0 the saturation's generators are the g / x1^nu(g), which are a
+    Groebner basis of it under that order (Bayer's property, see `colon`);
+    with n = 0 `saturate` returned its input by its raw generators, and
+    the saturation's own reduced basis serves, which is G, cached on the
+    input.  Both saturations are read from the record: Q2 is the second
+    one, and S = (P2 : x1^infinity), the first, is kept beside
+    Q1 = sigma(S).  sigma is a ring automorphism and its own inverse, so
+    f lies in Q1 exactly when sigma(f) lies in S.
+    A component equals its closed form exactly when each contains the
+    other: every generator of the component reduces to zero modulo the
+    closed form's lex basis, which is small and cached for
+    `primary.components`, and every generator of the closed form, mapped
+    into the saturation, reduces to zero modulo the saturation's basis.
+    Only on a mismatch does `why_unequal` name a generator of one ideal
+    that the other misses.
+
     Also asserts that J is proper, which it is when no generator has a
     constant term (J then lies in the maximal ideal; only otherwise is
     `is_unit` asked), and that each x_k lies in rad(J), by
@@ -480,10 +548,20 @@ def verify_decomposition(case):
     failures = []
     s = decomposition_summary(case)
     J = s["j"]
+    order = _RevlexOrder(case.nvars)
 
-    for tag, closed in (("q1", q1(case)), ("q2", q2(case))):
-        if not equal(s[tag], closed):
-            w = why_unequal(s[tag], closed)
+    # (closed form, the saturation, the map from the component into it)
+    for tag, closed, sat, into in (
+        ("q1", q1(case), s["s"], _reversal(case.ring)),
+        ("q2", q2(case), s["q2"], lambda f: f),
+    ):
+        component = s[tag]
+        basis = sat.generators if s[f"{tag}_stab"] else sat.reduced_basis(order)
+        if not (
+            _all_inside(component.generators, closed.reduced_basis())
+            and _all_inside(map(into, closed.generators), basis, order)
+        ):
+            w = why_unequal(component, closed)
             failures.append({"kind": f"{tag}_mismatch", "witness": str(w)})
         if s[f"{tag}_stab"] > 2:
             failures.append({"kind": f"{tag}_chain_not_stable"})
@@ -531,8 +609,7 @@ def classify_embedded(case):
     q1q2 = case.q1q2
     if not all(map(in_p2, q1q2.generators)):
         return True
-    nf = reducer(q1q2.reduced_basis())
-    return not all(nf(g).is_zero for g in case.p2.generators)
+    return not _all_inside(case.p2.generators, q1q2.reduced_basis())
 
 
 def decomposition_summary(case):
@@ -550,8 +627,9 @@ def decomposition_summary(case):
     Both saturations run at x1, the smallest variable of the reverse-lex
     order, so the second one's basis starts from P2's reduced basis plus
     x_N^2 (`Ideal.reduced_basis`).  Q1 and its exponent come from the
-    mirror image: Q1 = sigma(P2 : x1^infinity), sigma: x_i -> x_(N+1-i)
-    (`_reversal`), with the same stabilization exponent.  sigma is a ring
+    mirror image: Q1 = sigma(S), S = (P2 : x1^infinity), sigma:
+    x_i -> x_(N+1-i) (`_reversal`), with the same stabilization exponent;
+    the record keeps S too, under "s".  sigma is a ring
     automorphism and its own inverse, so sigma(I : f) = (sigma(I) : sigma(f))
     for any ideal I and f.  sigma rotates the Hankel matrix by 180 degrees
     and so permutes P2's generators: sigma(P2) = P2, and with
@@ -564,6 +642,7 @@ def decomposition_summary(case):
     S, stab1 = saturate(p2, x1)
     Q2, stab2 = saturate(p2 + case.x(case.nvars) ** 2, x1)
     return {
+        "s": S,
         "q1": Ideal(case.ring, map(_reversal(case.ring), S.generators)),
         "q2": Q2,
         "j": embedded_j(case),
@@ -595,8 +674,7 @@ def _colon_fixes(Q, y):
     Q always lies in (Q : y), so the two are equal exactly when every
     generator of `colon(Q, y)` reduces to zero modulo Q's cached lex basis.
     """
-    nf = reducer(Q.reduced_basis())
-    return all(nf(g).is_zero for g in colon(Q, y).generators)
+    return _all_inside(colon(Q, y).generators, Q.reduced_basis())
 
 
 def verify_primary_properties(case):
@@ -693,10 +771,10 @@ def verify_associated_maximal(case):
 def _monomial(ring, indices, c=1):
     """The monomial c * x_i * x_j * ... for 1-based variable indices, c nonzero.
 
-    Packed directly: x_i is 1 in the field (N - i) places above x_N's.
+    Packed directly, as the sum of the variables' packed monomials.
     """
-    top = ring.nvars
-    return Polynomial._raw(ring, {sum(1 << (top - i) * _BITS for i in indices): ring.coeff(c)})
+    x = _packed_variables(ring.nvars)
+    return Polynomial._raw(ring, {sum(map(x.__getitem__, indices)): ring.coeff(c)})
 
 
 def verify_reduction_lemma(case):
@@ -706,15 +784,20 @@ def verify_reduction_lemma(case):
     monomial (the d indices of a degree-d monomial split as evenly as
     their sum allows), and reduction against the permanent generators must
     reproduce the oracle's signed monomial exactly.  Stops at the first
-    failure.
+    failure.  Each monomial and its expected signed monomial are packed
+    straight into term dicts; `_monomial` builds only a failure witness.
     """
     t0 = time.perf_counter()
     claim = "lemma.reduction"
     ring = case.ring
+    top = case.nvars
+    packed = _packed_variables(top)  # packed[i] is x_i
+    signed = {1: ring.coeff(1), -1: ring.coeff(-1)}
+    one = signed[1]
     # one reducer for every monomial of the shape
     nf_perm = reducer(case.p2.generators)
     for d in (2, 3):
-        for idx in combinations_with_replacement(range(1, case.nvars + 1), d):
+        for idx in combinations_with_replacement(range(1, top + 1), d):
             c, rest = divmod(sum(idx), d)
             sign, final = rewrite_monomial_indices(case.m, case.n, idx)
             if final != (c,) * (d - rest) + (c + 1,) * rest:
@@ -724,14 +807,13 @@ def verify_reduction_lemma(case):
                     "got": list(final),
                 }
                 return _report(claim, case, t0, [failure])
-            nf = nf_perm(_monomial(ring, idx))
-            expected = _monomial(ring, final, sign)
-            if nf != expected:
+            nf = nf_perm(Polynomial._raw(ring, {sum(map(packed.__getitem__, idx)): one}))
+            if nf._d != {sum(map(packed.__getitem__, final)): signed[sign]}:
                 failure = {
                     "kind": "engine_oracle_disagree",
                     "monomial": list(idx),
                     "engine": str(nf),
-                    "oracle": str(expected),
+                    "oracle": str(_monomial(ring, final, sign)),
                 }
                 return _report(claim, case, t0, [failure])
     return _report(claim, case, t0, [])
@@ -823,12 +905,58 @@ def verify_membership_lemmas(case):
     return _report(claim, case, t0, [], checked)
 
 
+def _unit_binomial(g):
+    """(u, v) when g = u + v with both coefficients 1, u its lex leading
+    term and every exponent below 2**14; otherwise None."""
+    ring = g.ring
+    one = ring.coeff(1)
+    d = g._d
+    if len(d) != 2 or any(c != one for c in d.values()):
+        return None
+    v, u = sorted(d)  # under lex the larger packed monomial leads
+    if (u | v) & ring.guard >> 1:  # the 2**14 bit of every field
+        return None
+    return u, v
+
+
+def _binomial_s_polynomials(ring, pairs):
+    """S-polynomials of unit binomials as pairs of packed monomials.
+
+    pairs[a] = (u_a, v_a) is generator a as `_unit_binomial` splits it.
+    The map (a, b) -> (s, t) gives S(g_a, g_b) = s - t: with
+    L = lcm(u_a, u_b),
+    S = (L/u_a)*(u_a + v_a) - (L/u_b)*(u_b + v_b) = (L/u_a)*v_a - (L/u_b)*v_b,
+    the leading terms cancelling, so s = (L/u_a)*v_a and t = (L/u_b)*v_b.
+    S is zero when s = t, and otherwise the binomial s - t, whose
+    coefficients 1 and -1 differ since the characteristic is not 2.  The
+    exponents of L/u_a and v_a are below 2**14, so no field of their
+    product carries.  This is `s_polynomials` on packed integers, with no
+    coefficient arithmetic.
+    """
+    lcm = ring.mono_lcm
+
+    def spoly(a, b):
+        (ua, va), (ub, vb) = pairs[a], pairs[b]
+        L = lcm(ua, ub)
+        return L - ua + va, L - ub + vb
+
+    return spoly
+
+
 def verify_bound_lemma(case):
     """S-polynomials of generator pairs sharing a leading variable.
 
     For distinct leading terms with a common variable, the S-polynomial is
     zero or a binomial with unit coefficients of opposite sign whose two
     cubic monomials carry equal index sums within [7, 3m+3n-7].
+
+    The lemma is about the permanents, each u + v with both coefficients
+    1, and the check makes sure of that premise first: a generator of
+    another form fails the claim by name.  Then the S-polynomials come as
+    packed monomial pairs (s, t), S = s - t (`_binomial_s_polynomials`):
+    S is zero when s = t and otherwise a binomial with coefficients 1 and
+    -1, so only the degrees and index sums are left to check.  A failing
+    pair's S-polynomial is built by `s_polynomials` for the witness.
 
     The index sum e_1 + 2*e_2 + ... + N*e_N of a packed monomial m is the
     field of m * w at x1's position, where w holds k in the field k - 1
@@ -840,13 +968,27 @@ def verify_bound_lemma(case):
     ring = case.ring
     nvars = case.nvars
     lo, hi = 7, 3 * (case.m + case.n) - 7
-    units = {ring.coeff(1), ring.coeff(-1)}
     w = sum(k << (k - 1) * _BITS for k in range(1, nvars + 1))
     shift = (nvars - 1) * _BITS
-    checked = 0
+
     gens = case.p2.generators
-    spoly = s_polynomials(gens)
-    lts = [p._lm_packed(LEX) for p in gens]
+    pairs = [_unit_binomial(g) for g in gens]
+    if None in pairs:
+        failure = {"kind": "generator_not_unit_binomial", "generator": str(gens[pairs.index(None)])}
+        return _report(claim, case, t0, [failure])
+    spoly = _binomial_s_polynomials(ring, pairs)
+
+    def bounded(a, b):
+        # zero, or two cubics with one index sum, within [lo, hi]
+        s, t = spoly(a, b)
+        return s == t or (
+            _degree(s) == 3 == _degree(t)
+            and (k := (s * w >> shift) & _FMASK) == (t * w >> shift) & _FMASK
+            and lo <= k <= hi
+        )
+
+    checked = 0
+    lts = [u for u, _ in pairs]  # the lex leading terms
     having = {}  # variable -> the generators whose leading term has it, ascending
     for a, lt in enumerate(lts):
         for k in ring.support(lt):
@@ -856,21 +998,11 @@ def verify_bound_lemma(case):
         for b in sorted({b for k in ring.support(lt) for b in having[k] if b > a}):
             if lts[b] == lt:
                 continue
-            s = spoly(a, b)
             checked += 1
-            if s.is_zero:
-                continue
-            terms = s._d  # packed monomial -> coefficient
-            shape_ok = (
-                len(terms) == 2
-                and all(ring.deg(u) == 3 for u in terms)
-                and len(sums := {(u * w >> shift) & _FMASK for u in terms}) == 1
-                and lo <= sums.pop() <= hi
-                and set(terms.values()) == units
-            )
-            if not shape_ok:
+            if not bounded(a, b):
                 pair = [str(gens[a]), str(gens[b])]
-                failure = {"kind": "spair_not_bounded_binomial", "pair": pair, "spoly": str(s)}
+                witness = str(s_polynomials(gens)(a, b))
+                failure = {"kind": "spair_not_bounded_binomial", "pair": pair, "spoly": witness}
                 return _report(claim, case, t0, [failure])
     return _report(claim, case, t0, [], f"pairs={checked}")
 

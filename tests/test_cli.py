@@ -97,6 +97,19 @@ def test_verify_budget(capsys):
     assert rc == 0 and "assoc.maximal" in out
 
 
+def test_verify_budget_of_40_variables(capsys, monkeypatch):
+    # 2x39, 13x28 and 20x21 need 40 variables each, 2x40 needs 41; run_all
+    # only records the grid, so nothing of the 40-variable work is done
+    grids = []
+    monkeypatch.setattr("permahank.cli.run_all", lambda grid, char, checks: grids.append(grid) or [])
+    rc, out, _ = run(capsys, "verify", "--grid", "2x39,13x28,21x20", "--max-vars", "40")
+    assert rc == 0 and out == "0/0 checks passed\n"
+    assert grids == [[(2, 39), (13, 28), (20, 21)]]
+    rc, out, err = run(capsys, "verify", "--grid", "2x39,2x40", "--max-vars", "40")
+    assert rc == 2 and out == "" and "2x40 needs 41 variables" in err
+    assert len(grids) == 1
+
+
 def test_verify_has_no_samples_option(capsys):
     # primary.components is a proof and samples nothing
     with pytest.raises(SystemExit) as exc:
@@ -464,7 +477,7 @@ def test_output_digests_script_on_2x3(capsys):
     spec.loader.exec_module(script)
     assert script.run(["--grid", "2x3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * 12 and not any("exit" in line for line in lines)
+    assert len(lines) == 2 * 17 and not any("exit" in line for line in lines)
     digests = dict(reversed(line.split("  ", 1)) for line in lines)
     for char in (0, 32003):
         got = digests[f"verify --grid 2x3 --char {char} --format json"]

@@ -46,13 +46,16 @@ from permahank.ideal_ops import radical_member, saturate
 from permahank.verify import (
     VerificationReport,
     _basis_failure,
+    _binomial_s_polynomials,
+    _unit_binomial,
     _colon_fixes,
     _colon_witnesses,
+    _monomial,
     _outside_radical,
     _report,
     _reversal,
 )
-from permahank.groebner import GroebnerBasis, _minimal_indices
+from permahank.groebner import GroebnerBasis, _exact_div, _minimal_indices
 from permahank.ring import _BITS, _FMASK, DEGLEX, LEX, Polynomial, Ring, _RevlexOrder
 from test_groebner import assert_agrees_with_all_pairs
 
@@ -398,6 +401,96 @@ def test_decomposition_rejects_a_wrong_q2(monkeypatch):
     _rejects_a_wrong_closed_form(monkeypatch, "q2")
 
 
+def _failure_kinds(rep):
+    if rep.witness is None:
+        return []
+    return [f["kind"] for f in rep.witness.get("failures", [rep.witness])]
+
+
+def _agrees_with_equality(case, closed_forms):
+    """Whether decomp.main's q1/q2 verdicts match equal() on the record, per tag."""
+    with pytest.MonkeyPatch.context() as mp:
+        for tag, closed in closed_forms.items():
+            mp.setattr(f"permahank.verify.{tag}", lambda c, closed=closed: closed)
+        kinds = _failure_kinds(verify_decomposition(case))
+    s = decomposition_summary(case)
+    out = {}
+    for tag, closed in closed_forms.items():
+        same = equal(s[tag], closed)
+        assert (f"{tag}_mismatch" not in kinds) is same, (case, tag)
+        out[tag] = same
+    return out
+
+
+def test_saturation_containment_agrees_with_equality_on_wrong_closed_forms():
+    # each closed form with its first or its last generator dropped, with a
+    # variable of its prime added, and with a product of two of its
+    # generators added (the same ideal)
+    seen = set()
+    for char in (0, 32003):
+        for shape in [(2, 3), (2, 6), (3, 4), (3, 5), (4, 5), (4, 7)]:
+            case = Case(*shape, char)
+            for tag, extra in (("q1", case.x(case.r)), ("q2", case.x(2))):
+                closed = getattr(case, tag)
+                gens = closed.generators
+                for variant in (
+                    Ideal(case.ring, gens[1:]),
+                    Ideal(case.ring, gens[:-1]),
+                    closed + extra,
+                    closed + gens[0] * gens[-1],
+                ):
+                    same = _agrees_with_equality(case, {tag: variant})[tag]
+                    seen.add((tag, same))
+    assert seen == {("q1", True), ("q1", False), ("q2", True), ("q2", False)}
+
+
+def test_saturation_containment_reads_the_input_basis_at_exponent_zero(monkeypatch):
+    # an ideal of x2..xN alone is saturated at x1, and so is its sum with
+    # x_N^2: both saturations report exponent 0 and return their input by its
+    # raw generators, which here are no reverse-lex basis, so containment
+    # must read the input's cached basis.  The closed forms that equal the
+    # saturations are listed by those bases, whose extra elements reduce to
+    # zero only modulo a basis.
+    seen = set()
+    for char in (0, 32003):
+        case = Case(3, 4, char)
+        ring, x, N = case.ring, case.x, case.nvars
+        P = Ideal(ring, [x(3) * x(4) - x(2) * x(5), x(4) ** 2 - x(3) * x(6), x(5) ** 3])
+        monkeypatch.setattr(case, "p2", P)
+        s = decomposition_summary(case)
+        assert s["q1_stab"] == s["q2_stab"] == 0 and s["q2"].generators == P.generators + (x(N) ** 2,)
+        order = _RevlexOrder(N)
+        basis, summed = P.reduced_basis(order), s["q2"].reduced_basis(order)
+        assert len(basis) > len(P.generators) and len(summed) > len(s["q2"].generators)
+        mirrored = Ideal(ring, map(_reversal(ring), basis))
+        for forms in (
+            {"q1": mirrored, "q2": Ideal(ring, summed)},
+            {"q1": mirrored + x(1) * x(2) ** 2, "q2": Ideal(ring, summed)},
+            {"q1": mirrored, "q2": P + x(N) ** 3},
+            {"q1": case.q1, "q2": case.q2},
+        ):
+            seen.add(tuple(_agrees_with_equality(case, forms).values()))
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_saturation_containment_reads_the_record_at_exponent_zero(monkeypatch):
+    # a record whose first exponent reads 0 although S = (P2 : x1^infinity)
+    # is larger than P2: the q1 containment reads S's own reverse-lex basis
+    # from the record, not P2's, so Q1 = sigma(S) still matches its closed
+    # form, and a wrong closed form still fails
+    for shape in [(2, 4), (3, 5)]:
+        case = Case(*shape, 32003)
+        real = decomposition_summary(case)
+        assert real["q1_stab"] > 0 and not equal(real["s"], case.p2)
+        monkeypatch.setattr(
+            "permahank.verify.decomposition_summary", lambda c, real=real: {**real, "q1_stab": 0}
+        )
+        assert "q1_mismatch" not in _failure_kinds(verify_decomposition(case)), shape
+        monkeypatch.setattr("permahank.verify.q1", lambda c: c.p2)
+        assert "q1_mismatch" in _failure_kinds(verify_decomposition(case)), shape
+        monkeypatch.undo()
+
+
 def test_triple_intersection_recovers_ideal():
     # decomp.main derives this from the splitting lemma instead of computing it
     for char in (0, 32003):
@@ -631,6 +724,47 @@ def test_reduction_lemma_checks_cubics_after_quadratics(monkeypatch):
     assert calls[-3:] == [(1, 1, 1), (1, 1, 2), (1, 1, 3)]
 
 
+def reference_reduction_lemma(case, oracle=rewrite_monomial_indices):
+    """lemma.reduction with a Polynomial per monomial, the path the term dicts replace."""
+    ring = case.ring
+    nf_perm = reducer(case.p2.generators)
+    for d in (2, 3):
+        for idx in combinations_with_replacement(range(1, case.nvars + 1), d):
+            c, rest = divmod(sum(idx), d)
+            sign, final = oracle(case.m, case.n, idx)
+            if final != (c,) * (d - rest) + (c + 1,) * rest:
+                return "fail", {"kind": "oracle_off_target", "monomial": list(idx), "got": list(final)}
+            nf = nf_perm(_monomial(ring, idx))
+            expected = _monomial(ring, final, sign)
+            if nf != expected:
+                return "fail", {
+                    "kind": "engine_oracle_disagree",
+                    "monomial": list(idx),
+                    "engine": str(nf),
+                    "oracle": str(expected),
+                }
+    return "pass", None
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_reduction_lemma_agrees_with_the_reference(char, monkeypatch):
+    for shape in default_grid() if char == 0 else [(2, 9), (5, 8)]:
+        case = Case(*shape, char)
+        rep = verify_reduction_lemma(case)
+        assert (rep.status, rep.witness) == reference_reduction_lemma(case) == ("pass", None)
+    # an oracle with the sign of every cubic flipped: the first cubic disagrees
+    def flipped(m, n, idx):
+        sign, final = rewrite_monomial_indices(m, n, idx)
+        return (-sign if len(idx) == 3 else sign), final
+
+    monkeypatch.setattr("permahank.verify.rewrite_monomial_indices", flipped)
+    for shape in [(2, 3), (3, 4), (4, 5)]:
+        case = Case(*shape, char)
+        rep = verify_reduction_lemma(case)
+        assert (rep.status, rep.witness) == reference_reduction_lemma(case, flipped), shape
+        assert rep.witness["kind"] == "engine_oracle_disagree" and len(rep.witness["monomial"]) == 3
+
+
 def test_reduction_lemma_reports_the_first_engine_disagreement(monkeypatch):
     calls = []
     monkeypatch.setattr("permahank.verify.reducer", lambda G: _counting(calls, lambda f: f))
@@ -711,12 +845,21 @@ def test_membership_lemma_checks_the_brute_force_products(monkeypatch):
 
 
 def test_bound_lemma_reports_the_first_unbounded_spair(monkeypatch):
-    calls = []
+    # every packed S-polynomial comes back as two quartics; the first pair
+    # fails, and its witness is built by s_polynomials (here doubled, so the
+    # witness shows where it came from)
+    checked, built = [], []
+
+    def quartics(ring, pairs):
+        spoly = _binomial_s_polynomials(ring, pairs)
+        x1 = ring.var(1)._lm_packed()
+        return _counting(checked, lambda i, j: tuple(u + x1 for u in spoly(i, j)))
 
     def doubled(G):
         spoly = s_polynomials(G)
-        return _counting(calls, lambda i, j: 2 * spoly(i, j))
+        return _counting(built, lambda i, j: 2 * spoly(i, j))
 
+    monkeypatch.setattr("permahank.verify._binomial_s_polynomials", quartics)
     monkeypatch.setattr("permahank.verify.s_polynomials", doubled)
     rep = verify_bound_lemma(Case(2, 3))
     assert rep.witness == {
@@ -724,16 +867,41 @@ def test_bound_lemma_reports_the_first_unbounded_spair(monkeypatch):
         "pair": ["x1*x3 + x2^2", "x1*x4 + x2*x3"],
         "spoly": "2*x2^2*x4 - 2*x2*x3^2",
     }
-    assert len(calls) == 1
+    # one S-polynomial checked, then one built for the witness
+    assert checked == built == [(0, 1)]
+
+
+def test_bound_lemma_reports_the_first_unbounded_packed_spair(monkeypatch):
+    # a wrong index, x1*x4 + x2*x4 for x1*x4 + x2*x3, keeps the packed path:
+    # the first pair's S-polynomial x2^2*x4 - x2*x3*x4 has index sums 8 and 9
+    case = Case(2, 3)
+    gens = [parse(g, case.ring) for g in ("x1*x3 + x2^2", "x1*x4 + x2*x4", "x2*x4 + x3^2")]
+    monkeypatch.setattr(case, "p2", Ideal(case.ring, gens))
+    calls, built = [], []
+
+    def counted(ring, pairs):
+        return _counting(calls, _binomial_s_polynomials(ring, pairs))
+
+    monkeypatch.setattr("permahank.verify._binomial_s_polynomials", counted)
+    monkeypatch.setattr(
+        "permahank.verify.s_polynomials", lambda G: _counting(built, s_polynomials(G))
+    )
+    rep = verify_bound_lemma(case)
+    assert rep.witness == {
+        "kind": "spair_not_bounded_binomial",
+        "pair": ["x1*x3 + x2^2", "x1*x4 + x2*x4"],
+        "spoly": "x2^2*x4 - x2*x3*x4",
+    }
+    assert calls == built == [(0, 1)]
 
 
 def test_bound_lemma_forms_the_pairs_sharing_a_leading_variable(monkeypatch):
     formed = []
 
-    def recording(G):
-        return lambda i, j: formed.append((i, j)) or G[0].ring.zero()
+    def recording(ring, pairs):
+        return lambda i, j: formed.append((i, j)) or (0, 0)
 
-    monkeypatch.setattr("permahank.verify.s_polynomials", recording)
+    monkeypatch.setattr("permahank.verify._binomial_s_polynomials", recording)
     for m, n in default_grid():
         case = Case(m, n, 32003)
         formed.clear()
@@ -748,6 +916,33 @@ def test_bound_lemma_forms_the_pairs_sharing_a_leading_variable(monkeypatch):
         assert rep.detail == f"pairs={len(want)}"
 
 
+def _rejects_the_generator_behind(case, f):
+    """lemma.bound on P2 with its first generator u + v changed so that an
+    S-polynomial has f's form, which S = s - t of two unit binomials cannot
+    have: a sign flipped (two terms of one sign) or the tail dropped (one
+    term).  The claim names the changed generator, and the reference loop
+    sees an S-polynomial of f's form and fails too."""
+    ring = case.ring
+    gens = case.p2.generators
+    v, u = sorted(gens[0]._d)
+    lead, tail = (Polynomial._raw(ring, {mono: ring.coeff(1)}) for mono in (u, v))
+    new = lead if len(f) == 1 else lead - tail
+    changed = (new,) + gens[1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(case, "p2", Ideal(ring, changed))
+        assert _unit_binomial(new) is None
+        assert verify_bound_lemma(case).witness == {
+            "kind": "generator_not_unit_binomial", "generator": str(new),
+        }
+        assert reference_bound_lemma(case)[0] == "fail"
+    spoly = s_polynomials(changed)
+    assert any(
+        len(S := spoly(0, b)) == len(f) and len(set(S._d.values())) == 1
+        for b in range(1, len(changed))
+        if ring.mono_gcd(u, changed[b]._lm_packed(LEX))
+    )
+
+
 @pytest.mark.parametrize("spoly, ok", [
     ("x1*x2*x4 - x1*x3^2", True),    # index sums 7 and 7
     ("x2*x3*x6 - x3*x4^2", True),    # 11 and 11
@@ -757,13 +952,141 @@ def test_bound_lemma_forms_the_pairs_sharing_a_leading_variable(monkeypatch):
     ("x1*x3*x4 - x2^2*x3", False),   # 8 and 7
     ("x1*x2*x4 + x1*x3^2", False),   # same sign
     ("x1*x2^2*x3 - x1*x2*x3^2", False),  # quartics
+    ("x1*x2*x3*x4 - x1*x2^2*x5", False),  # quartics with index sums 10 and 10
+    ("x2*x5 - x3*x4", False),        # quadrics with index sums 7 and 7
     ("x1*x2*x4", False),
 ])
 def test_bound_lemma_reads_index_sums_from_packed_monomials(spoly, ok, monkeypatch):
+    # the packed path hands over S = s - t, so every binomial with
+    # coefficients 1 and -1 goes through it; the other two forms need a
+    # generator outside its premise, and the claim rejects that generator
     case = Case(3, 4)
     f = parse(spoly, case.ring)
-    monkeypatch.setattr("permahank.verify.s_polynomials", lambda G: lambda i, j: f)
-    assert verify_bound_lemma(case).passed is ok
+    by_coefficient = {c: u for u, c in f._d.items()}
+    one, minus = case.ring.coeff(1), case.ring.coeff(-1)
+    if len(f) == 2 and set(by_coefficient) == {one, minus}:
+        s, t = by_coefficient[one], by_coefficient[minus]
+        monkeypatch.setattr(
+            "permahank.verify._binomial_s_polynomials", lambda ring, pairs: lambda i, j: (s, t)
+        )
+        assert verify_bound_lemma(case).passed is ok
+    else:
+        assert spoly in ("x1*x2*x4 + x1*x3^2", "x1*x2*x4") and not ok
+        _rejects_the_generator_behind(case, f)
+
+
+def test_bound_lemma_passes_a_zero_packed_spair(monkeypatch):
+    case = Case(3, 4)
+    u = case.x(1).leading_monomial()
+    monkeypatch.setattr(
+        "permahank.verify._binomial_s_polynomials", lambda ring, pairs: lambda i, j: (u, u)
+    )
+    assert verify_bound_lemma(case).passed
+
+
+def reference_bound_lemma(case):
+    """lemma.bound by s_polynomials on every pair, the path the packed one replaces."""
+    ring = case.ring
+    lo, hi = 7, 3 * (case.m + case.n) - 7
+    units = {ring.coeff(1), ring.coeff(-1)}
+    w = sum(k << (k - 1) * _BITS for k in range(1, case.nvars + 1))
+    shift = (case.nvars - 1) * _BITS
+    gens = case.p2.generators
+    spoly = s_polynomials(gens)
+    lts = [g._lm_packed(LEX) for g in gens]
+    checked = 0
+    for a, b in combinations(range(len(gens)), 2):
+        if lts[a] == lts[b] or not ring.mono_gcd(lts[a], lts[b]):
+            continue
+        s = spoly(a, b)
+        checked += 1
+        if s.is_zero:
+            continue
+        terms = s._d
+        shape_ok = (
+            len(terms) == 2
+            and all(ring.deg(u) == 3 for u in terms)
+            and len(sums := {(u * w >> shift) & _FMASK for u in terms}) == 1
+            and lo <= sums.pop() <= hi
+            and set(terms.values()) == units
+        )
+        if not shape_ok:
+            return "fail", {
+                "kind": "spair_not_bounded_binomial",
+                "pair": [str(gens[a]), str(gens[b])],
+                "spoly": str(s),
+            }, ""
+    return "pass", None, f"pairs={checked}"
+
+
+def _outcome(rep):
+    return rep.status, rep.witness, rep.detail
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_packed_bound_lemma_agrees_with_the_reference_on_the_grid(char):
+    for m, n in default_grid():
+        case = Case(m, n, char)
+        assert all(map(_unit_binomial, case.p2.generators))
+        assert _outcome(verify_bound_lemma(case)) == reference_bound_lemma(case), (m, n)
+
+
+def test_packed_bound_lemma_agrees_with_the_reference_on_8x21():
+    case = Case(8, 21, 32003)
+    assert _outcome(verify_bound_lemma(case)) == reference_bound_lemma(case)
+
+
+def _bound_mutants(case, per_kind=3):
+    """(kind, generators, the changed generator) with one permanent changed,
+    from a seeded draw.
+
+    A flipped sign, a tail coefficient of 2 and a generator scaled by 2
+    leave the packed path's premise.  A wrong index, the trailing term's
+    last variable moved by one, keeps it.
+    """
+    ring, gens = case.ring, case.p2.generators
+    rng = random.Random(100 * case.m + case.n + case.char)
+    for kind in ("sign", "index", "tail2", "scaled"):
+        for i in sorted(rng.sample(range(len(gens)), per_kind)):
+            g = gens[i]
+            v, u = sorted(g._d)  # lex: the leading monomial is the larger
+            lead, tail = (Polynomial._raw(ring, {mono: ring.coeff(1)}) for mono in (u, v))
+            if kind == "sign":
+                new = lead - tail
+            elif kind == "index":
+                k = ring.support(v)[-1]
+                other = k - 1 if k == case.nvars else k + 1
+                new = lead + _exact_div(tail, case.x(k)) * case.x(other)
+            elif kind == "tail2":
+                new = lead + 2 * tail
+            else:
+                new = 2 * g
+            yield kind, gens[:i] + (new,) + gens[i + 1:], new
+
+
+def test_packed_bound_lemma_on_bad_generators(monkeypatch):
+    # a wrong index keeps the premise, and the claim agrees with the
+    # reference loop; every other mutant fails by the changed generator's
+    # name, where the reference fails on an S-polynomial or, for the scaled
+    # generator, whose S-polynomials are the permanents', passes
+    outcomes = {}
+    for char in (0, 32003):
+        for m, n in [(2, 5), (3, 4), (4, 5), (3, 7)]:
+            case = Case(m, n, char)
+            for kind, gens, new in _bound_mutants(case):
+                monkeypatch.setattr(case, "p2", Ideal(case.ring, gens))
+                assert (_unit_binomial(new) is None) is (kind != "index"), kind
+                got = _outcome(verify_bound_lemma(case))
+                want = reference_bound_lemma(case)
+                if kind == "index":
+                    assert got == want, (m, n, char, kind)
+                else:
+                    witness = {"kind": "generator_not_unit_binomial", "generator": str(new)}
+                    assert got == ("fail", witness, ""), (m, n, char, kind)
+                outcomes.setdefault(kind, []).append(want[0])
+    assert set(outcomes["scaled"]) == {"pass"}
+    for kind in ("sign", "index", "tail2"):
+        assert "fail" in outcomes[kind], kind
 
 
 # -- primary components: proven for homogeneous components at near-maximal primes --
@@ -981,6 +1304,46 @@ def test_gb_fails_every_closed_form_that_misses_a_generator_of_p2(monkeypatch):
     assert caught == 24
 
 
+def test_gb_builds_p2s_lex_basis_when_the_containment_fails(monkeypatch):
+    # a closed form that is a Groebner basis of a smaller ideal: the missing
+    # permanent does not reduce to zero modulo H, so P2's lex basis comes
+    # from Buchberger and the witness lists the difference
+    case = Case(3, 4)
+    cf = [g for g in closed_form_gb(case) if str(g) != "x1*x3 + x2^2"]
+    monkeypatch.setattr("permahank.verify.closed_form_gb", lambda c: cf)
+    rep = verify_gb(case)
+    assert rep.witness["kind"] == "interreduction_mismatch"
+    assert case.p2.reduced_basis() == buchberger(case.p2.generators, LEX)
+    assert case.p2.reduced_basis().elements != inter_reduce(cf)
+
+
+def test_gb_fails_a_closed_form_of_a_larger_ideal(monkeypatch):
+    # P2's generators plus the reduced basis of P2 + (x1): a Groebner basis
+    # that holds every permanent, of an ideal past P2; x1 does not reduce to
+    # zero modulo P2's reverse-lex basis, so the containment fails and the
+    # witness is the one Buchberger's basis of P2 gives
+    for shape in [(2, 5), (3, 4), (4, 5)]:
+        case = Case(*shape)
+        larger = case.p2 + case.x(1)
+        cf = list(case.p2.generators) + list(larger.reduced_basis())
+        monkeypatch.setattr("permahank.verify.closed_form_gb", lambda c: cf)
+        assert _basis_failure(cf) is None
+        rep = verify_gb(case)
+        assert rep.witness["kind"] == "interreduction_mismatch" and "x1" in rep.witness["extra"]
+        assert case.p2.reduced_basis() == buchberger(case.p2.generators, LEX), shape
+
+
+def test_ideal_caches_only_a_reduced_basis():
+    case = Case(2, 4)
+    p2 = case.p2
+    raw = buchberger(p2.generators, LEX, reduce=False)
+    with pytest.raises(ValueError):
+        p2._set_basis(raw)
+    first = p2._set_basis(buchberger(p2.generators, LEX))
+    again = p2._set_basis(GroebnerBasis(first.elements, LEX, True))
+    assert again is first and p2.reduced_basis() is first
+
+
 # -- decomp and primary: shortcuts against the paths they replace ----------------
 
 
@@ -1036,17 +1399,27 @@ def test_decomposition_builds_no_lex_basis_for_the_flag(monkeypatch):
 @pytest.mark.parametrize("char", [0, 32003])
 def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
     # on a passing shape: no intersection where an alpha shows the embedded
-    # component, and no lex basis of J or of a colon ideal; one
-    # decomposition, read by decomp.main, with its two saturations and one
-    # embedded flag; and every basis cached on P2 and on P2 + (x_N^2), the
-    # sum the second saturation starts from, is a GroebnerBasis keyed by
-    # its order, the one reverse-lex basis reduced with x1 smallest
-    cases, meets, colons, summaries, flags, sats = [], [], [], [], [], []
+    # component, and no lex Buchberger run on P2 (gb.* seeds its basis), on
+    # J, on a saturation or on a colon ideal; one decomposition, read by decomp.main, with its two
+    # saturations and one embedded flag; and every basis cached on P2 and on
+    # P2 + (x_N^2), the sum the second saturation starts from, is a
+    # GroebnerBasis keyed by its order, the one reverse-lex basis reduced
+    # with x1 smallest
+    cases, meets, colons, summaries, flags, sats, lex_runs = [], [], [], [], [], [], []
+
+    def summary(case):
+        summaries.append(decomposition_summary(case))
+        return summaries[-1]
+
+    def recording(gens, order, *args, **kwargs):
+        if order == LEX:
+            lex_runs.append(tuple(gens))
+        return buchberger(gens, order, *args, **kwargs)
+
     monkeypatch.setattr("permahank.verify.run_case", _counting(cases, run_case))
     monkeypatch.setattr("permahank.verify.intersect", _counting(meets, intersect))
-    monkeypatch.setattr(
-        "permahank.verify.decomposition_summary", _counting(summaries, decomposition_summary)
-    )
+    monkeypatch.setattr("permahank.verify.decomposition_summary", summary)
+    monkeypatch.setattr("permahank.ideal_ops.buchberger", recording)
     monkeypatch.setattr("permahank.verify.classify_embedded", _counting(flags, classify_embedded))
     monkeypatch.setattr("permahank.verify.saturate", _counting(sats, saturate))
 
@@ -1056,10 +1429,21 @@ def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
 
     monkeypatch.setattr("permahank.verify.colon", recording_colon)
     for shape in default_grid():
-        for calls in (cases, meets, colons, summaries, flags, sats):
+        for calls in (cases, meets, colons, summaries, flags, sats, lex_runs):
             calls.clear()
         assert all(r.passed for r in run_all([shape], char)), shape
         (case, _), = cases
+        # no lex basis of P2 (gb.* seeds it) nor of either saturation (decomp.main
+        # decides them by containment)
+        (record,) = summaries
+        assert case.p2.generators not in lex_runs, shape
+        assert LEX not in record["q1"]._cache and LEX not in record["q2"]._cache, shape
+        # the paths they replace: the seeded basis is Buchberger's, and each
+        # saturation equals its closed form under equal()
+        seeded = case.p2.reduced_basis()
+        assert seeded.is_reduced and seeded.elements == inter_reduce(closed_form_gb(case)), shape
+        assert seeded == buchberger(case.p2.generators, LEX), shape
+        assert equal(record["q1"], case.q1) and equal(record["q2"], case.q2), shape
         assert len(meets) == (0 if alphas(case) else 1), shape
         assert case.j._cache == {}, shape
         assert len(colons) == 2 and all(LEX not in C._cache for C in colons), shape

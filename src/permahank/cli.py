@@ -29,7 +29,7 @@ import json
 import sys
 
 from .ring import LEX, MonomialOrder, parse
-from .groebner import buchberger, normal_form
+from .groebner import normal_form
 from .hankel import HankelMatrix, permanent_generators
 from .ideal_ops import Ideal, colon, ideal_from_dict, intersect, polys_to_dict
 from .verify import (
@@ -116,7 +116,7 @@ def _cmd_gen(args):
 
 def _cmd_gb(args):
     ring, order, gens = _source_ideal(args)
-    _emit_polys(args, ring, buchberger(gens, order).elements, order)
+    _emit_polys(args, ring, Ideal(ring, gens).reduced_basis(order).elements, order)
     return 0
 
 
@@ -130,8 +130,8 @@ def _cmd_closed_form(args):
 def _cmd_nf(args):
     ring, order, gens = _source_ideal(args)
     f = parse(args.expr, ring)
-    basis = buchberger(gens, order)
-    r = normal_form(f, basis, order)
+    basis = Ideal(ring, gens).reduced_basis(order)
+    r = normal_form(f, basis) if len(basis) else f  # modulo the zero ideal, f itself
     if args.format == "json":
         _emit_json(
             {

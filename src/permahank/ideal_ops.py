@@ -68,7 +68,9 @@ class Ideal:
         self._cache = {}
         self._summand = None
         if _basis is not None:
-            self._set_basis(_basis)
+            if not _basis.is_reduced:
+                raise ValueError("only a reduced basis is cached")
+            self._cache[_basis.order] = _basis
 
     @property
     def is_zero(self):
@@ -95,17 +97,6 @@ class Ideal:
                 b = GroebnerBasis((), order, True)
             self._cache[order] = b
         return b
-
-    def _set_basis(self, basis):
-        """Cache basis as this ideal's reduced basis under its order; return the cached one.
-
-        The caller has proven that basis is the reduced Groebner basis of
-        this ideal under basis.order.  A basis already cached stays: the
-        reduced basis is unique, so the two are equal.
-        """
-        if not basis.is_reduced:
-            raise ValueError("only a reduced basis is cached")
-        return self._cache.setdefault(basis.order, basis)
 
     def contains(self, f):
         if f.ring != self.ring:

@@ -20,12 +20,14 @@ on failure, a machine-checkable witness.
 
 A check does not compute what the facts it checks already prove; the
 proof is in its docstring, and the computation lives on in the tests.
-So no basis is built twice: a passing closed-form check proves its
-interreduction to be P2's reduced lex basis and caches it on P2 for the
-later checks; the decomposition compares each saturation with its closed
-form by containment, against the saturation's own reverse-lex basis and
-the closed form's lex basis; and the S-polynomials of two permanents
-u + v are formed on packed monomials.
+So no basis is built twice: one basis of P2, its reduced reverse-lex
+basis with x1 smallest, decides every membership in P2 (`Case._in_p2`);
+a passing closed-form check proves its interreduction to be P2's reduced
+lex basis by containment, with no lex basis of P2 built; the
+decomposition compares each saturation with its closed form by
+containment, against the saturation's own reverse-lex basis and the
+closed form's lex basis; and the S-polynomials of two permanents u + v
+are formed on packed monomials.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from itertools import combinations, combinations_with_replacement
 
 from .ring import _BITS, _FMASK, LEX, Polynomial, _packed_variables, _RevlexOrder, _degree
 from .groebner import (
-    GroebnerBasis,
     inter_reduce,
     is_groebner,
     normal_form,  # unused here, but perfbench's tracer wraps verify.normal_form
@@ -176,9 +177,12 @@ class Case:
         return intersect(self.q1, self.q2)
 
     @cached_property
-    def _nf_p2(self):
-        """Normal forms modulo P2's cached lex basis: one reducer table per case."""
-        return reducer(self.p2.reduced_basis())
+    def _in_p2(self):
+        """Membership in P2: f lies in P2 exactly when it reduces to zero modulo
+        P2's reduced reverse-lex basis with x1 smallest, the one
+        `saturate(P2, x1)` caches.  One reducer table per case."""
+        nf = reducer(self.p2.reduced_basis(_RevlexOrder(self.nvars)))
+        return lambda f: nf(f).is_zero
 
 
 def closed_form_gb(case):
@@ -406,18 +410,15 @@ def verify_gb(case):
     The second sub-check builds no lex basis of P2 when it passes.  Once
     `_basis_failure` passes, H is the reduced lex basis of (G), and
     (G) = P2 is decided by containment both ways.  An element of G lies in
-    P2 when it is a generator of P2 or reduces to zero modulo P2's reduced
-    reverse-lex basis with x1 smallest, a Groebner basis of P2 (the one
-    the decomposition's first saturation caches).  A generator of P2 lies
-    in (G) when it is an element of G or reduces to zero modulo H, a
-    Groebner basis of (G).  Then H is the reduced lex basis of (G) = P2,
-    which is unique, so it becomes P2's cached lex basis, the one a lex
-    Buchberger run would return; the later claims read it from there.  A
-    lex basis of P2 cached before is kept and H is still compared with it.
-    When a containment fails, (G) != P2 and H differs from P2's reduced
-    basis, which is then built to list the difference as
-    `interreduction_mismatch`.  It is built too when G is no Groebner
-    basis, for the detail and the literal comparison.
+    P2 when it is a generator of P2 or lies in P2 by `Case._in_p2`, which
+    reduces modulo P2's reduced reverse-lex basis with x1 smallest.  A
+    generator of P2 lies in (G) when it is an element of G or reduces to
+    zero modulo H, a Groebner basis of (G).  Then H is the reduced lex
+    basis of (G) = P2, which is unique, so it is the basis a lex Buchberger
+    run on P2 would return.  When a containment fails, (G) != P2 and H
+    differs from P2's reduced basis, which is then built to list the
+    difference as `interreduction_mismatch`.  It is built too when G is no
+    Groebner basis, for the detail and the literal comparison.
 
     That G generates P2, and so lies in it, needs no other check: any
     (G) != P2 fails as `interreduction_mismatch`, and an element of G
@@ -432,22 +433,19 @@ def verify_gb(case):
     interreduced = inter_reduce(cf)
     failure = _basis_failure(cf, interreduced)
     gens, listed = set(p2.generators), set(cf)
-    proven = (
+    if (
         failure is None
-        and _all_inside(
-            (g for g in cf if g not in gens), p2.reduced_basis(_RevlexOrder(case.nvars))
-        )
+        and all(case._in_p2(g) for g in cf if g not in gens)
         and _all_inside((g for g in p2.generators if g not in listed), interreduced)
-    )
-    if proven:
-        reduced = p2._set_basis(GroebnerBasis(interreduced, LEX, True))
+    ):
+        reduced = interreduced  # P2's reduced lex basis, by the containments
     else:
-        reduced = p2.reduced_basis()
+        reduced = p2.reduced_basis().elements
     if failure is not None:
         failures.append(failure)
-    elif tuple(interreduced) != reduced.elements:
+    elif interreduced != reduced:
         failures.append(_set_mismatch("interreduction_mismatch", interreduced, reduced))
-    literal = frozenset(cf) == frozenset(reduced.elements)
+    literal = frozenset(cf) == frozenset(reduced)
     strict = case.shape_class is ShapeClass.THREE_THREE or (
         case.shape_class is ShapeClass.TWO_BY_N and case.n == 3
     )
@@ -460,9 +458,9 @@ def verify_gb(case):
     return _report(claim, case, t0, failures, detail)
 
 
-def _pure_powers(ring, polys):
-    """The k with some lex leading term among polys a power of x_k."""
-    supports = (ring.support(g._lm_packed(LEX)) for g in polys)
+def _pure_powers(ring, polys, order):
+    """The k with some leading term under the order among polys a power of x_k."""
+    supports = (ring.support(g._lm_packed(order)) for g in polys)
     return {s[0] for s in supports if len(s) == 1}
 
 
@@ -470,25 +468,28 @@ def _outside_radical(case, Q, variables):
     """The first of the variables not in rad(Q), or None.
 
     One scan settles every variable at once when Q has homogeneous
-    generators among which are all of P2's.  Then P2 lies in Q, so in(Q)
-    holds the lex leading terms of P2's cached basis, and it holds each
-    monomial generator of Q.  Suppose those include a pure power of every
-    variable.  Then only finitely many monomials lie outside in(Q), and
-    these standard monomials are a basis of R/Q (Cox-Little-O'Shea, Ideals,
-    Varieties, and Algorithms, ch. 5 §3, the finiteness theorem).  Q is
-    homogeneous, so R/Q is graded, Q's reduced basis is homogeneous, and
-    the standard monomials of degree d are a basis of (R/Q)_d (ch. 9 §3).
-    So (R/Q)_d = 0 past the largest standard degree d0, and x_k^(d0+1) lies
-    in Q for every k: every variable is in rad(Q).
+    generators among which are all of P2's.  Then P2 lies in Q.  Take
+    P2's reduced reverse-lex basis with x1 smallest, the one `Case._in_p2`
+    reads: in(Q) under that order holds the leading terms of P2's basis
+    under its order, and it holds each monomial generator of Q.  Suppose
+    those include a pure power of every variable.  Then only finitely many
+    monomials lie outside in(Q), and these standard monomials are a basis
+    of R/Q (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 5 §3,
+    the finiteness theorem).  Q is homogeneous, so R/Q is graded, Q's
+    reduced basis is homogeneous, and the standard monomials of degree d
+    are a basis of (R/Q)_d (ch. 9 §3).  So (R/Q)_d = 0 past the largest
+    standard degree d0, and x_k^(d0+1) lies in Q for every k: every
+    variable is in rad(Q).
 
     Otherwise each variable goes alone: a generator c * x_k^e of Q puts x_k
     in rad(Q), and `radical_member(x_k, Q)` decides the rest, so the answer
     is always exact.
     """
     ring = case.ring
-    powers = _pure_powers(ring, [g for g in Q.generators if len(g) == 1])
+    powers = _pure_powers(ring, [g for g in Q.generators if len(g) == 1], LEX)
     if _has_homogeneous_generators(Q) and set(case.p2.generators) <= set(Q.generators):
-        if len(powers | _pure_powers(ring, case.p2.reduced_basis())) == ring.nvars:
+        basis = case.p2.reduced_basis(_RevlexOrder(case.nvars))
+        if len(powers | _pure_powers(ring, basis, basis.order)) == ring.nvars:
             return None
     for v in variables:
         if ring.support(v._lm_packed(LEX))[0] not in powers and not radical_member(v, Q):
@@ -588,19 +589,15 @@ def classify_embedded(case):
     P2' = (x2..xN): x_N is not in P1 = rad(q1), so x_N * alpha in q1 puts
     alpha in q1, and x1 is not in P2', so x1 * alpha in q2 puts alpha in q2.
 
-    The three memberships are in P2 alone, decided against the reverse-lex
-    basis with x1 smallest that `saturate(P2, x1)` caches on P2, so no
-    basis of Q1 or Q2 is built.  Otherwise `case.q1q2`, the intersection
-    of the closed forms, is compared with P2 by containment both ways: its
-    generators by the same reverse-lex basis of P2, and P2's generators by
-    the lex basis of the intersection, which `intersect` returns cached.
-    So no lex basis of P2 is built.
+    The three memberships are in P2 alone, decided by `Case._in_p2`
+    against the reverse-lex basis with x1 smallest that `saturate(P2, x1)`
+    caches on P2, so no basis of Q1 or Q2 is built.  Otherwise
+    `case.q1q2`, the intersection of the closed forms, is compared with P2
+    by containment both ways: its generators by the same test, and P2's
+    generators by the lex basis of the intersection, which `intersect`
+    returns cached.  So no lex basis of P2 is built.
     """
-    nf_p2 = reducer(case.p2.reduced_basis(_RevlexOrder(case.nvars)))
-
-    def in_p2(f):
-        return nf_p2(f).is_zero
-
+    in_p2 = case._in_p2
     al = alphas(case)
     if al is not None:
         x1, xN = case.x(1), case.x(case.nvars)
@@ -753,13 +750,13 @@ def verify_associated_maximal(case):
     t0 = time.perf_counter()
     claim = "assoc.maximal"
     failures = []
-    nf_p2 = case._nf_p2
+    in_p2 = case._in_p2
     for a in al:
-        if nf_p2(a).is_zero:
+        if in_p2(a):
             failures.append({"kind": "alpha_inside_ideal", "alpha": str(a)})
             continue
         for k in range(1, case.nvars + 1):
-            if not nf_p2(case.x(k) * a).is_zero:
+            if not in_p2(case.x(k) * a):
                 failures.append(
                     {"kind": "alpha_colon_misses_variable", "alpha": str(a), "variable": f"x{k}"}
                 )
@@ -880,12 +877,12 @@ def verify_membership_lemmas(case):
     claim = "lemma.membership"
     m, n = case.m, case.n
     ring = case.ring
-    nf_p2 = case._nf_p2
+    in_p2 = case._in_p2
     triples = list(combinations_with_replacement(range(1, case.nvars + 1), 3))
 
     cubics = [t for t in triples if _is_cubic(*t, m, n) or _is_cubic(*t, n, m)]
     for idx in cubics:
-        if not nf_p2(_monomial(ring, idx)).is_zero:
+        if not in_p2(_monomial(ring, idx)):
             failure = {"kind": "cubic_outside_ideal", "monomial": list(idx)}
             return _report(claim, case, t0, [failure])
 
@@ -896,7 +893,7 @@ def verify_membership_lemmas(case):
             for v in t
         })
         for idx in quartics:
-            if not nf_p2(_monomial(ring, idx)).is_zero:
+            if not in_p2(_monomial(ring, idx)):
                 failure = {"kind": "quartic_outside_ideal", "monomial": list(idx)}
                 return _report(claim, case, t0, [failure])
         checked = f"cubics={len(cubics)} quartics={len(quartics)}"

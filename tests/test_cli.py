@@ -255,6 +255,25 @@ def test_in_takes_the_file_order_unless_order_is_given(tmp_path, capsys):
     assert run(capsys, "gb", "--in", str(doc), "--order", "deglex") == (0, "x2^2 - x1\n", "")
 
 
+@pytest.mark.parametrize("generators", [[], ["0"]])
+def test_zero_ideal_from_a_file(tmp_path, capsys, generators):
+    # the zero ideal's basis is empty, and a normal form modulo it is the input
+    doc = tmp_path / "zero.json"
+    doc.write_text(json.dumps({"vars": 3, "generators": generators}))
+    assert run(capsys, "gb", "--in", str(doc)) == (0, "", "")
+    assert run(capsys, "nf", "x2^2 - 3*x1", "--in", str(doc)) == (0, "-3*x1 + x2^2\n", "")
+    rc, out, _ = run(capsys, "gb", "--in", str(doc), "--format", "json")
+    assert rc == 0 and json.loads(out) == {"vars": 3, "char": 0, "order": "lex", "generators": []}
+    rc, out, _ = run(capsys, "nf", "x2^2 - 3*x1", "--in", str(doc), "--format", "json")
+    assert rc == 0 and json.loads(out) == {
+        "vars": 3,
+        "char": 0,
+        "order": "lex",
+        "input": "-3*x1 + x2^2",
+        "normal_form": "-3*x1 + x2^2",
+    }
+
+
 def test_unknown_order_is_a_usage_error(tmp_path, capsys):
     doc = tmp_path / "i.json"
     doc.write_text(json.dumps({"vars": 2, "order": "revlex", "generators": ["x1"]}))

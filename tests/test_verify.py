@@ -44,6 +44,7 @@ from permahank import ideal_ops
 from permahank.ideal_ops import _has_homogeneous_generators
 from permahank.ideal_ops import radical_member, saturate
 from permahank.verify import (
+    CHECK_NAMES,
     VerificationReport,
     _basis_failure,
     _binomial_s_polynomials,
@@ -575,16 +576,20 @@ def test_gb_mismatch_lists_extra_and_missing(monkeypatch):
         mp.setattr("permahank.verify.closed_form_gb", lambda c: cf + [extra])
         rep = verify_gb(case)
     assert rep.witness == {"kind": "literal_set_mismatch", "extra": [str(extra)], "missing": []}
-    # a reduced basis of P2 with one more element: the closed form passes the
-    # basis check, and its interreduction misses that element (3x4 is not
-    # held to the literal set)
+    # the first permanent times x1: still a Groebner basis, of an ideal that
+    # misses the permanent, so the interreduction lists the product as extra
+    # and the permanent as missing (3x4 is not held to the literal set)
     case = Case(3, 4)
-    reduced = case.p2.reduced_basis().elements
-    more = GroebnerBasis(reduced + (case.x(6) ** 9,), LEX, True)
+    cf = closed_form_gb(case)
+    mutant = [cf[0] * case.x(1)] + cf[1:]
     with monkeypatch.context() as mp:
-        mp.setitem(case.p2._cache, LEX, more)
+        mp.setattr("permahank.verify.closed_form_gb", lambda c: mutant)
         rep = verify_gb(case)
-    assert rep.witness == {"kind": "interreduction_mismatch", "extra": [], "missing": ["x6^9"]}
+    assert rep.witness == {
+        "kind": "interreduction_mismatch",
+        "extra": ["x1^2*x3 + x1*x2^2"],
+        "missing": ["x1*x3 + x2^2"],
+    }
 
 
 def test_report_failure_path():
@@ -688,14 +693,18 @@ def _counting(calls, fn):
     return wrapped
 
 
-def test_p2_lex_reducer_is_built_once_per_case(monkeypatch):
-    # assoc.maximal and lemma.membership share the case's one reducer table
-    # over P2's lex basis
+def test_p2_reducer_is_built_once_per_case(monkeypatch):
+    # gb.*, the embedded flag, assoc.maximal and lemma.membership share the
+    # case's one reducer table over P2's reverse-lex basis with x1 smallest,
+    # and none of them builds a lex basis of P2
     builds = []
     monkeypatch.setattr("permahank.verify.reducer", _counting(builds, reducer))
     case = Case(4, 6)
+    assert verify_gb(case).passed and classify_embedded(case)
     assert verify_associated_maximal(case).passed and verify_membership_lemmas(case).passed
-    assert [args[0] is case.p2.reduced_basis() for args in builds] == [True]
+    revlex = case.p2.reduced_basis(_RevlexOrder(case.nvars))
+    assert [args[0] is revlex for args in builds].count(True) == 1
+    assert list(case.p2._cache) == [revlex.order]
 
 
 def test_reduction_lemma_reports_the_first_off_target_monomial(monkeypatch):
@@ -1335,13 +1344,11 @@ def test_gb_fails_a_closed_form_of_a_larger_ideal(monkeypatch):
 
 def test_ideal_caches_only_a_reduced_basis():
     case = Case(2, 4)
-    p2 = case.p2
-    raw = buchberger(p2.generators, LEX, reduce=False)
-    with pytest.raises(ValueError):
-        p2._set_basis(raw)
-    first = p2._set_basis(buchberger(p2.generators, LEX))
-    again = p2._set_basis(GroebnerBasis(first.elements, LEX, True))
-    assert again is first and p2.reduced_basis() is first
+    gens = case.p2.generators
+    with pytest.raises(ValueError, match="only a reduced basis"):
+        Ideal(case.ring, gens, _basis=buchberger(gens, LEX, reduce=False))
+    basis = buchberger(gens, LEX)
+    assert Ideal(case.ring, gens, _basis=basis).reduced_basis() is basis
 
 
 # -- decomp and primary: shortcuts against the paths they replace ----------------
@@ -1399,7 +1406,7 @@ def test_decomposition_builds_no_lex_basis_for_the_flag(monkeypatch):
 @pytest.mark.parametrize("char", [0, 32003])
 def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
     # on a passing shape: no intersection where an alpha shows the embedded
-    # component, and no lex Buchberger run on P2 (gb.* seeds its basis), on
+    # component, and no lex Buchberger run on P2 (gb.* proves its basis), on
     # J, on a saturation or on a colon ideal; one decomposition, read by decomp.main, with its two
     # saturations and one embedded flag; and every basis cached on P2 and on
     # P2 + (x_N^2), the sum the second saturation starts from, is a
@@ -1433,16 +1440,15 @@ def test_run_all_builds_no_basis_its_claims_prove(char, monkeypatch):
             calls.clear()
         assert all(r.passed for r in run_all([shape], char)), shape
         (case, _), = cases
-        # no lex basis of P2 (gb.* seeds it) nor of either saturation (decomp.main
-        # decides them by containment)
+        # no lex basis of P2 (gb.* proves the interreduced closed form to be
+        # it) nor of either saturation (decomp.main decides them by containment)
         (record,) = summaries
-        assert case.p2.generators not in lex_runs, shape
+        assert case.p2.generators not in lex_runs and LEX not in case.p2._cache, shape
         assert LEX not in record["q1"]._cache and LEX not in record["q2"]._cache, shape
-        # the paths they replace: the seeded basis is Buchberger's, and each
-        # saturation equals its closed form under equal()
-        seeded = case.p2.reduced_basis()
-        assert seeded.is_reduced and seeded.elements == inter_reduce(closed_form_gb(case)), shape
-        assert seeded == buchberger(case.p2.generators, LEX), shape
+        # the paths they replace: the interreduced closed form is Buchberger's
+        # basis, and each saturation equals its closed form under equal()
+        reference = buchberger(case.p2.generators, LEX).elements
+        assert inter_reduce(closed_form_gb(case)) == reference, shape
         assert equal(record["q1"], case.q1) and equal(record["q2"], case.q2), shape
         assert len(meets) == (0 if alphas(case) else 1), shape
         assert case.j._cache == {}, shape
@@ -1478,8 +1484,30 @@ def test_outside_radical_settles_j_by_the_scan(char, monkeypatch):
     for shape in default_grid():
         case = Case(*shape, char)
         assert _outside_radical(case, embedded_j(case), case.maximal_ideal.generators) is None
-        assert case.j._cache == {}, shape
+        # the scan reads P2's reverse-lex basis under its own order: no lex basis built
+        assert case.j._cache == {} and list(case.p2._cache) == [_RevlexOrder(case.nvars)], shape
     assert asked == []
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_claim_groups_read_one_basis_of_p2(char, monkeypatch):
+    # each claim group alone, and all of them, decide every membership in P2
+    # by its reverse-lex basis with x1 smallest: that basis is built once, and
+    # no lex Buchberger run starts from P2's generators
+    runs = []
+
+    def recording(gens, order, *args, **kwargs):
+        runs.append((tuple(gens), order))
+        return buchberger(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr("permahank.ideal_ops.buchberger", recording)
+    for shape in [(2, 9), (4, 6)]:
+        for checks in [[group] for group in CHECK_NAMES] + [None]:
+            runs.clear()
+            case = Case(*shape, char)
+            assert all(r.passed for r in run_case(case, checks)), (shape, checks)
+            on_p2 = [order for gens, order in runs if gens == case.p2.generators]
+            assert on_p2 == [_RevlexOrder(case.nvars)], (shape, checks)
 
 
 def test_outside_radical_falls_back_without_p2s_generators(monkeypatch):

@@ -43,9 +43,11 @@ pairs among K are left out.
 
 `is_groebner` decides the Buchberger criterion without forming the pairs
 whose leading terms are coprime (Buchberger's first criterion, proved in
-its docstring); the all-pairs loop it replaced is kept in the tests as the
-reference it must agree with.  Interreduction and the verifier's basis
-check pick the minimal subset of a basis by one routine, `_minimal_indices`.
+its docstring), which it tells from the support masks, or the pairs of two
+monomial entries, whose S-polynomial is zero; the all-pairs loop it
+replaced is kept in the tests as the reference it must agree with.
+Interreduction and the verifier's basis check pick the minimal subset of
+a basis by one routine, `_minimal_indices`.
 
 Every routine reads one monic entry per basis element, (leading monomial,
 support mask, tail items), with the tail divided by the leading
@@ -54,7 +56,11 @@ Buchberger one per new element, and only this module reads them.  So a
 reduction step subtracts c times the tail, and an S-polynomial is the
 difference of the two tails shifted to the lcm, since the leading terms
 cancel.  S-polynomials and normal forms raise ValueError rather than let
-an exponent pass 2**15 - 1.
+an exponent pass 2**15 - 1.  A normal form whose work is down to one term
+follows the divisors' one-term tails on the packed integer alone (the
+single-term phase of `_nf_dict`, proved equal to the general loop in its
+docstring): the bases here are mostly monomials and binomials, and most
+of the verifier's normal forms start from one monomial.
 
 Normal forms remember each monomial's first divisor per reducer table.
 The memo maps a monomial to the entry of its first divisor in the table,
@@ -65,14 +71,17 @@ the first n entries needs only the rest scanned.  So every reduction
 picks the same reducer the full scan picks.  A memo lives as long as its
 table, and whoever builds the table owns both: Buchberger for one run (one
 for its entries, one for its S-pair reductions), `_reduce_tails` and
-`is_groebner` for one call, and `reducer` for the life of the function it
-returns, which its caller keeps for a loop over one basis and then drops.  `normal_form`
-is one call of a fresh `reducer`.  Nothing is cached on a GroebnerBasis, so
-no memo outlives the caller that needed it.
+`is_groebner` for one call, and `_term_reducer` for the life of the map
+on term dicts it returns, which its caller keeps for a loop over one basis
+and then drops.  `reducer` wraps that map for polynomials; the verifier
+calls it with packed monomials {m: c}, building no polynomial per
+monomial.  `normal_form` is one call of a fresh `reducer`.  Nothing is
+cached on a GroebnerBasis, so no memo outlives the caller that needed it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from heapq import heappush, heappop
 from itertools import islice
 
@@ -137,6 +146,19 @@ def _nf_dict(work, red, ring, order, first):
 
     Raises ValueError at the first step whose new terms pass the exponent
     range, so a wrapped monomial is never reduced further or returned.
+
+    Whenever the work is one term c*m (at the start, or once the other
+    terms have left it), a step by a reducer with a one-term tail tc*tm
+    leaves one term again, -c*tc * (m/lt)*tm, and a step by a monomial
+    reducer leaves none.  The single-term phase takes those steps on the
+    packed integer and the coefficient alone, with no dict and no max,
+    until m has no divisor or its first divisor has two or more tail
+    terms, where the general step goes on.  Each phase step is the general
+    step on a one-term work: the same divisor from the same memo (so the
+    memo ends the same), the same coefficient expression, nonzero as a
+    product of nonzero field elements, and the same overflow test on the
+    one new term.  So the phase returns exactly what the general steps
+    alone return, and leaves the same memo.
     """
     p = ring.char
     g = ring.guard
@@ -146,9 +168,15 @@ def _nf_dict(work, red, ring, order, first):
     nred = len(red)
     out = {}
     seen = 0
-    while work:
-        m = max(work) if lexlike else max(work, key=key)
-        c = work.pop(m)
+    single = len(work) == 1  # m, c hold the work's one term, and work is empty
+    if single:
+        m, c = work.popitem()
+    while single or work:
+        if single:
+            single = False
+        else:
+            m = max(work) if lexlike else max(work, key=key)
+            c = work.pop(m)
         e = first.get(m, 0)
         if e.__class__ is int:  # no divisor in red[:e]: scan the rest
             if e == nred:
@@ -168,6 +196,17 @@ def _nf_dict(work, red, ring, order, first):
             first[m] = e
         lt, _, tail = e
         q = m - lt
+        if len(tail) < 2 and not work:  # the single-term phase
+            if tail:
+                (tm, tc), = tail
+                m = tm + q
+                if m & g:
+                    raise ValueError(f"exponent overflow: a normal-form exponent exceeds {_EMAX}")
+                c = -c * tc
+                if p:
+                    c %= p
+                single = True
+            continue
         for tm, tc in tail:
             k2 = tm + q
             seen |= k2
@@ -282,6 +321,23 @@ def _basis_and_order(G, order):
     return tuple(G), LEX if order is None else order
 
 
+def _term_reducer(G, order=None):
+    """The map d -> the term dict of d's normal form modulo G, on term dicts.
+
+    d is a term dict of G's ring, consumed.  Builds the reducer table of G
+    once and keeps one divisor memo for the life of the returned function.
+    The order defaults as in `reducer`, which wraps this map for
+    polynomials; a caller with packed monomials passes {m: c} straight in.
+    """
+    G, order = _basis_and_order(G, order)
+    if not G:
+        raise ValueError("need at least one reducer")
+    ring = _common_ring(G)
+    red = _prepare(G, ring, order)
+    first = {}
+    return lambda d: _nf_dict(d, red, ring, order, first)
+
+
 def reducer(G, order=None):
     """The normal form map f -> normal_form(f, G, order), for many f.
 
@@ -291,18 +347,15 @@ def reducer(G, order=None):
     GroebnerBasis (another order raises ValueError), and to lex otherwise.
     """
     G, order = _basis_and_order(G, order)
-    if not G:
-        raise ValueError("need at least one reducer")
-    ring = _common_ring(G)
-    red = _prepare(G, ring, order)
-    first = {}
+    nf_terms = _term_reducer(G, order)
+    ring = G[0].ring
 
     def nf(f):
         if f.ring != ring:
             raise ValueError("polynomial and reducers belong to different rings")
         if f.is_zero:
             return f
-        return Polynomial._raw(ring, _nf_dict(dict(f._d), red, ring, order, first))
+        return Polynomial._raw(ring, nf_terms(dict(f._d)))
 
     return nf
 
@@ -700,6 +753,14 @@ def is_groebner(G, order=None):
     remainder is a nonzero element of (G) with no term divisible by a
     leading term of G, and all zero remainders make G a Groebner basis.
 
+    Two leading terms are coprime exactly when their support masks are
+    disjoint: a mask has a field's guard bit set exactly when the
+    exponent there is nonzero, so a shared set bit is a shared variable.
+    No pair of two monomial entries is formed either: of monic monomials
+    f = lt f and g = lt g, S(f, g) = (L/lt f)*lt f - (L/lt g)*lt g = 0,
+    as Buchberger's pair update also uses.  Such a pair never fails, so
+    leaving it out changes neither the answer nor the witness.
+
     The witness on failure is (f, g, nonzero normal form) for the first
     failing pair (i, j), i < j in G's order, whose leading terms are not
     coprime.  The order defaults as in `reducer`.
@@ -708,17 +769,19 @@ def is_groebner(G, order=None):
     if not G:
         raise ValueError("need at least one polynomial")
     ring = _common_ring(G)
-    lcm = ring.mono_lcm
     red = _prepare(G, ring, order)
     first = {}
     n = len(G)
-    for i in range(n):
-        a = red[i][0]
-        for j in range(i + 1, n):
-            b = red[j][0]
-            if lcm(a, b) == a + b:
+    tailed = [j for j, e in enumerate(red) if e[2]]  # ascending
+    for i, a in enumerate(red):
+        # the later entries a can pair with: any, or only those with a tail
+        later = range(i + 1, n) if a[2] else islice(tailed, bisect_right(tailed, i), None)
+        mask = a[1]
+        for j in later:
+            b = red[j]
+            if mask & b[1] == 0:
                 continue
-            s = _spoly_dict(red[i], red[j], ring)
+            s = _spoly_dict(a, b, ring)
             if not s:
                 continue
             r = _nf_dict(s, red, ring, order, first)

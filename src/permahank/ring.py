@@ -230,6 +230,8 @@ class Ring:
         self.guard = sum(1 << (i * _BITS + 15) for i in range(nvars))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Ring):
             return NotImplemented
         return (

@@ -26,8 +26,10 @@ a passing closed-form check proves its interreduction to be P2's reduced
 lex basis by containment, with no lex basis of P2 built; the
 decomposition compares each saturation with its closed form by
 containment, against the saturation's own reverse-lex basis and the
-closed form's lex basis; and the S-polynomials of two permanents u + v
-are formed on packed monomials.
+closed form's lex basis; the S-polynomials of two permanents u + v
+are formed on packed monomials; and the monomials of the lemma checks,
+the alphas and their multiples by a variable go into the reducer tables
+as packed monomials, with no polynomial built per monomial.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .ring import _BITS, _FMASK, LEX, Polynomial, _packed_variables, _RevlexOrder, _degree
+from .ring import _BITS, _EMAX, _FMASK, LEX, Polynomial, _packed_variables, _RevlexOrder, _degree
 from .groebner import (
+    _term_reducer,
     inter_reduce,
     is_groebner,
     normal_form,  # unused here, but perfbench's tracer wraps verify.normal_form
@@ -177,12 +180,25 @@ class Case:
         return intersect(self.q1, self.q2)
 
     @cached_property
-    def _in_p2(self):
-        """Membership in P2: f lies in P2 exactly when it reduces to zero modulo
-        P2's reduced reverse-lex basis with x1 smallest, the one
-        `saturate(P2, x1)` caches.  One reducer table per case."""
-        nf = reducer(self.p2.reduced_basis(_RevlexOrder(self.nvars)))
-        return lambda f: nf(f).is_zero
+    def _nf_p2(self):
+        """Normal forms of term dicts modulo P2's reduced reverse-lex basis
+        with x1 smallest, the one `saturate(P2, x1)` caches: f lies in P2
+        exactly when its terms reduce to zero.  One reducer table per case,
+        which takes packed monomials {m: c} straight in."""
+        return _term_reducer(self.p2.reduced_basis(_RevlexOrder(self.nvars)))
+
+    def _in_p2(self, f, k=0):
+        """Whether x_k * f lies in P2, for f in the case's ring (x_0 = 1).
+
+        x_k * f is f's term dict with x_k's packed monomial added to each
+        monomial; a field that passes the exponent range raises ValueError,
+        as the product of polynomials does.
+        """
+        x = _packed_variables(self.nvars)[k]
+        d = {m + x: c for m, c in f._d.items()}
+        if k and any(m & self.ring.guard for m in d):
+            raise ValueError(f"exponent overflow: a product exponent exceeds {_EMAX}")
+        return not self._nf_p2(d)
 
 
 def closed_form_gb(case):
@@ -600,8 +616,8 @@ def classify_embedded(case):
     in_p2 = case._in_p2
     al = alphas(case)
     if al is not None:
-        x1, xN = case.x(1), case.x(case.nvars)
-        if any(not in_p2(a) and in_p2(xN * a) and in_p2(x1 * a) for a in al):
+        N = case.nvars
+        if any(not in_p2(a) and in_p2(a, N) and in_p2(a, 1) for a in al):
             return True
     q1q2 = case.q1q2
     if not all(map(in_p2, q1q2.generators)):
@@ -756,7 +772,7 @@ def verify_associated_maximal(case):
             failures.append({"kind": "alpha_inside_ideal", "alpha": str(a)})
             continue
         for k in range(1, case.nvars + 1):
-            if not in_p2(case.x(k) * a):
+            if not in_p2(a, k):
                 failures.append(
                     {"kind": "alpha_colon_misses_variable", "alpha": str(a), "variable": f"x{k}"}
                 )
@@ -791,8 +807,8 @@ def verify_reduction_lemma(case):
     packed = _packed_variables(top)  # packed[i] is x_i
     signed = {1: ring.coeff(1), -1: ring.coeff(-1)}
     one = signed[1]
-    # one reducer for every monomial of the shape
-    nf_perm = reducer(case.p2.generators)
+    # one reducer table for every monomial of the shape
+    nf_perm = _term_reducer(case.p2.generators)
     for d in (2, 3):
         for idx in combinations_with_replacement(range(1, top + 1), d):
             c, rest = divmod(sum(idx), d)
@@ -804,12 +820,12 @@ def verify_reduction_lemma(case):
                     "got": list(final),
                 }
                 return _report(claim, case, t0, [failure])
-            nf = nf_perm(Polynomial._raw(ring, {sum(map(packed.__getitem__, idx)): one}))
-            if nf._d != {sum(map(packed.__getitem__, final)): signed[sign]}:
+            nf = nf_perm({sum(map(packed.__getitem__, idx)): one})
+            if nf != {sum(map(packed.__getitem__, final)): signed[sign]}:
                 failure = {
                     "kind": "engine_oracle_disagree",
                     "monomial": list(idx),
-                    "engine": str(nf),
+                    "engine": str(Polynomial._raw(ring, nf)),
                     "oracle": str(_monomial(ring, final, sign)),
                 }
                 return _report(claim, case, t0, [failure])
@@ -876,13 +892,14 @@ def verify_membership_lemmas(case):
     t0 = time.perf_counter()
     claim = "lemma.membership"
     m, n = case.m, case.n
-    ring = case.ring
-    in_p2 = case._in_p2
+    nf = case._nf_p2
+    x = _packed_variables(case.nvars)  # x[i] is x_i
+    one = case.ring.coeff(1)
     triples = list(combinations_with_replacement(range(1, case.nvars + 1), 3))
 
     cubics = [t for t in triples if _is_cubic(*t, m, n) or _is_cubic(*t, n, m)]
     for idx in cubics:
-        if not in_p2(_monomial(ring, idx)):
+        if nf({sum(map(x.__getitem__, idx)): one}):
             failure = {"kind": "cubic_outside_ideal", "monomial": list(idx)}
             return _report(claim, case, t0, [failure])
 
@@ -893,7 +910,7 @@ def verify_membership_lemmas(case):
             for v in t
         })
         for idx in quartics:
-            if not in_p2(_monomial(ring, idx)):
+            if nf({sum(map(x.__getitem__, idx)): one}):
                 failure = {"kind": "quartic_outside_ideal", "monomial": list(idx)}
                 return _report(claim, case, t0, [failure])
         checked = f"cubics={len(cubics)} quartics={len(quartics)}"

@@ -56,8 +56,8 @@ from permahank.verify import (
     _report,
     _reversal,
 )
-from permahank.groebner import GroebnerBasis, _exact_div, _minimal_indices
-from permahank.ring import _BITS, _FMASK, DEGLEX, LEX, Polynomial, Ring, _RevlexOrder
+from permahank.groebner import GroebnerBasis, _exact_div, _minimal_indices, _term_reducer
+from permahank.ring import _BITS, _FMASK, DEGLEX, LEX, Polynomial, Ring, _RevlexOrder, _degree
 from test_groebner import assert_agrees_with_all_pairs
 
 
@@ -698,7 +698,7 @@ def test_p2_reducer_is_built_once_per_case(monkeypatch):
     # case's one reducer table over P2's reverse-lex basis with x1 smallest,
     # and none of them builds a lex basis of P2
     builds = []
-    monkeypatch.setattr("permahank.verify.reducer", _counting(builds, reducer))
+    monkeypatch.setattr("permahank.verify._term_reducer", _counting(builds, _term_reducer))
     case = Case(4, 6)
     assert verify_gb(case).passed and classify_embedded(case)
     assert verify_associated_maximal(case).passed and verify_membership_lemmas(case).passed
@@ -775,8 +775,9 @@ def test_reduction_lemma_agrees_with_the_reference(char, monkeypatch):
 
 
 def test_reduction_lemma_reports_the_first_engine_disagreement(monkeypatch):
+    # an engine that never reduces: x1*x3 is the first monomial off the oracle
     calls = []
-    monkeypatch.setattr("permahank.verify.reducer", lambda G: _counting(calls, lambda f: f))
+    monkeypatch.setattr("permahank.verify._term_reducer", lambda G: _counting(calls, lambda d: d))
     rep = verify_reduction_lemma(Case(2, 3))
     assert rep.witness == {
         "kind": "engine_oracle_disagree",
@@ -789,7 +790,7 @@ def test_reduction_lemma_reports_the_first_engine_disagreement(monkeypatch):
 
 def test_membership_lemma_reports_the_first_cubic_outside(monkeypatch):
     calls = []
-    monkeypatch.setattr("permahank.verify.reducer", lambda G: _counting(calls, lambda f: f))
+    monkeypatch.setattr("permahank.verify._term_reducer", lambda G: _counting(calls, lambda d: d))
     rep = verify_membership_lemmas(Case(2, 3))
     assert rep.witness == {"kind": "cubic_outside_ideal", "monomial": [1, 2, 4]}
     assert rep.detail == "" and len(calls) == 1
@@ -799,10 +800,10 @@ def test_membership_lemma_reports_the_first_quartic_outside(monkeypatch):
     quartics = []
 
     def cubics_only(G):
-        nf, keep = reducer(G), _counting(quartics, lambda f: f)
-        return lambda f: keep(f) if f.total_degree() == 4 else nf(f)
+        nf, keep = _term_reducer(G), _counting(quartics, lambda d: d)
+        return lambda d: keep(d) if _degree(next(iter(d))) == 4 else nf(d)
 
-    monkeypatch.setattr("permahank.verify.reducer", cubics_only)
+    monkeypatch.setattr("permahank.verify._term_reducer", cubics_only)
     rep = verify_membership_lemmas(Case(3, 3))
     assert rep.witness == {"kind": "quartic_outside_ideal", "monomial": [1, 1, 3, 5]}
     assert rep.detail == "" and len(quartics) == 1
@@ -838,15 +839,15 @@ def test_membership_lemma_checks_the_brute_force_products(monkeypatch):
     checked = []
 
     def recording(G):
-        return lambda f: checked.append(f) or f.ring.zero()
+        return lambda d: checked.append(d) or {}
 
-    monkeypatch.setattr("permahank.verify.reducer", recording)
+    monkeypatch.setattr("permahank.verify._term_reducer", recording)
     for m, n in default_grid():
         case = Case(m, n, 32003)
         checked.clear()
         rep = verify_membership_lemmas(case)
         cubics, quartics = brute_force_products(m, n)
-        want = [variable_product(case, idx) for idx in cubics + quartics]
+        want = [variable_product(case, idx)._d for idx in cubics + quartics]
         assert checked == want, (m, n)
         assert rep.detail == (
             f"cubics={len(cubics)} quartics={len(quartics)}" if m >= 3 else f"cubics={len(cubics)}"

@@ -439,19 +439,35 @@ def _minimal_indices(lts, order, guard):
     """Ascending indices of the lts no other divides, the first of equal ones.
 
     A divisor comes no later under the order, so one stable ascending pass
-    tests each term against the minimal ones found before it.
+    tests each term against the minimal ones found before it.  Those are
+    kept by support mask, and a term whose support is not inside the
+    candidate's cannot divide it, so only the masks inside the candidate's
+    are read: its submasks, when it has fewer of them than there are
+    masks, and otherwise the masks that pass the test.  Either way every
+    possible divisor is tested, so the same indices are kept.
     """
     key = order.key()
+    fill = guard - (guard >> 15)
     kept = []
-    kept_lts = []
+    by_support = {}  # support mask -> the kept lts with that support
     for i in sorted(range(len(lts)), key=lambda i: key(lts[i])):
-        ltg = lts[i] | guard
-        for k in kept_lts:
-            if (ltg - k) & guard == guard:
-                break
+        lt = lts[i]
+        ltg = lt | guard
+        support = (lt + fill) & guard
+        if 1 << support.bit_count() < len(by_support):
+            masks = []
+            sub = support
+            while True:  # every submask of support, itself to 0
+                if sub in by_support:
+                    masks.append(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & support
         else:
+            masks = [m for m in by_support if m & support == m]
+        if not any((ltg - k) & guard == guard for m in masks for k in by_support[m]):
             kept.append(i)
-            kept_lts.append(lts[i])
+            by_support.setdefault(support, []).append(lt)
     return sorted(kept)
 
 

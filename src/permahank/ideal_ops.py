@@ -290,7 +290,10 @@ def radical_member(f, I):
     Decided by testing whether 1 lies in I + (1 - y*f) over a ring with one
     extra variable y; small powers of f are tried against the cached basis
     of I first, which settles most membership answers cheaply and never
-    changes the outcome.
+    changes the outcome.  That basis is the first one cached on I, under
+    whatever order, and I's lex basis when none is: a polynomial lies in I
+    exactly when it reduces to zero modulo a Groebner basis of I under the
+    basis's own order, so every order gives the same answer.
     """
     if f.ring != I.ring:
         raise ValueError("polynomial outside the ring")
@@ -299,7 +302,8 @@ def radical_member(f, I):
     if I.is_zero:
         return False
     if len(f) <= 2 and f.total_degree() <= 4:
-        nf = reducer(I.reduced_basis())
+        cached = I._cache
+        nf = reducer(next(iter(cached.values())) if cached else I.reduced_basis())
         g = f
         for _ in range(8):
             if nf(g).is_zero:

@@ -42,6 +42,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .ring import _BITS, _EMAX, _FMASK, LEX, Polynomial, _packed_variables, _RevlexOrder, _degree
 from .groebner import (
+    GroebnerBasis,
     _term_reducer,
     inter_reduce,
     is_groebner,
@@ -52,6 +53,7 @@ from .groebner import (
 from .ideal_ops import (
     Ideal,
     _has_homogeneous_generators,
+    _revlex_basis,
     colon,
     intersect,
     radical_member,
@@ -130,8 +132,19 @@ class Case:
         return self.ring.var(i)
 
     def _span(self, lo, hi):
-        """The ideal of the consecutive variables x_lo..x_hi."""
-        return Ideal(self.ring, [self.x(i) for i in range(lo, hi + 1)])
+        """The ideal of the consecutive variables x_lo..x_hi, with its reduced
+        lex basis cached: the variables themselves, as listed.
+
+        The S-polynomial of two distinct variables x_i, x_j is
+        (x_i*x_j / x_i) * x_i - (x_i*x_j / x_j) * x_j = 0, so the list passes
+        the Buchberger criterion and is a Groebner basis.  Each variable is
+        monic, none divides another, and a monomial has no tail to reduce,
+        so the basis is reduced; under lex x_lo > ... > x_hi, so the list is
+        in the descending order that Buchberger returns.  The reduced basis
+        is unique, so this is the one a lex Buchberger run would build.
+        """
+        gens = [self.x(i) for i in range(lo, hi + 1)]
+        return Ideal(self.ring, gens, _basis=GroebnerBasis(gens, LEX, True))
 
     @cached_property
     def p2(self):
@@ -144,7 +157,8 @@ class Case:
 
     @cached_property
     def primes(self):
-        """The two minimal primes over P2: spans of r consecutive variables."""
+        """The two minimal primes over P2: spans of r consecutive variables,
+        each its own reduced lex basis (`_span`)."""
         return self._span(1, self.r), self._span(2, self.r + 1)
 
     @cached_property
@@ -537,12 +551,16 @@ def verify_decomposition(case):
     Q1 = sigma(S).  sigma is a ring automorphism and its own inverse, so
     f lies in Q1 exactly when sigma(f) lies in S.
     A component equals its closed form exactly when each contains the
-    other: every generator of the component reduces to zero modulo the
-    closed form's lex basis, which is small and cached for
-    `primary.components`, and every generator of the closed form, mapped
-    into the saturation, reduces to zero modulo the saturation's basis.
-    Only on a mismatch does `why_unequal` name a generator of one ideal
-    that the other misses.
+    other.  A polynomial lies in an ideal exactly when it reduces to zero
+    modulo a Groebner basis of the ideal under that basis's own order, so
+    any one basis decides.  Every generator of the component must reduce
+    to zero modulo the closed form's reduced reverse-lex basis with its
+    outside variable smallest, x_N for q1 and x1 for q2: the basis that
+    `colon(q, y)` reads for `primary.components`, so each closed form gets
+    one basis.  Every generator of the closed form, mapped into the
+    saturation, must reduce to zero modulo the saturation's basis.  Only
+    on a mismatch does `why_unequal` name a generator of one ideal that
+    the other misses.
 
     Also asserts that J is proper, which it is when no generator has a
     constant term (J then lies in the maximal ideal; only otherwise is
@@ -567,15 +585,15 @@ def verify_decomposition(case):
     J = s["j"]
     order = _RevlexOrder(case.nvars)
 
-    # (closed form, the saturation, the map from the component into it)
-    for tag, closed, sat, into in (
-        ("q1", q1(case), s["s"], _reversal(case.ring)),
-        ("q2", q2(case), s["q2"], lambda f: f),
+    # (closed form, its outside variable, the saturation, the map from the component into it)
+    for tag, closed, k, sat, into in (
+        ("q1", q1(case), case.nvars, s["s"], _reversal(case.ring)),
+        ("q2", q2(case), 1, s["q2"], lambda f: f),
     ):
         component = s[tag]
         basis = sat.generators if s[f"{tag}_stab"] else sat.reduced_basis(order)
         if not (
-            _all_inside(component.generators, closed.reduced_basis())
+            _all_inside(component.generators, _revlex_basis(closed, k))
             and _all_inside(map(into, closed.generators), basis, order)
         ):
             w = why_unequal(component, closed)
@@ -682,12 +700,17 @@ def _colon_witnesses(case):
 
 
 def _colon_fixes(Q, y):
-    """Whether (Q : y) = Q, with no basis of the colon built.
+    """Whether (Q : y) = Q for a variable y = x_k, with no basis of the colon built.
 
     Q always lies in (Q : y), so the two are equal exactly when every
-    generator of `colon(Q, y)` reduces to zero modulo Q's cached lex basis.
+    generator of `colon(Q, y)` lies in Q.  A polynomial lies in Q exactly
+    when it reduces to zero modulo a Groebner basis of Q under that
+    basis's own order, and the one read is Q's reduced reverse-lex basis
+    with x_k smallest: the basis `colon` itself reads when Q has
+    homogeneous generators, so Q gets no other basis.
     """
-    return _all_inside(colon(Q, y).generators, Q.reduced_basis())
+    (k,) = Q.ring.support(y._lm_packed(LEX))
+    return _all_inside(colon(Q, y).generators, _revlex_basis(Q, k))
 
 
 def verify_primary_properties(case):
@@ -699,7 +722,11 @@ def verify_primary_properties(case):
     decomp.main: its leading-term scan settles J with no basis of J, and
     on Q1 and Q2 each variable of P not among their generators goes to
     `radical_member`.  The colon goes through `_colon_fixes`, which builds
-    no basis of the colon.  When Q has homogeneous generators and P,
+    no basis of the colon and decides it against Q's reverse-lex basis with
+    the outside variable smallest.  The colons run before the radical
+    test, so `radical_member` finds that basis cached on Q and reads it:
+    Q1 and Q2 each get one basis, and no lex basis of Q or of P is built
+    (P, a span of variables, is its own).  When Q has homogeneous generators and P,
     generated by variables, misses at most one of them, this proves Q
     P-primary:
 
@@ -722,6 +749,14 @@ def verify_primary_properties(case):
     failures = []
     for label, Q, P, variables in _colon_witnesses(case):
         nf_p = reducer(P.reduced_basis())
+        # the colons first: they cache the reverse-lex basis that the radical
+        # test then reads, so no lex basis of Q is built
+        moved = None
+        for y in variables:
+            assert not nf_p(y).is_zero, "witness accidentally inside the prime"
+            if not _colon_fixes(Q, y):
+                moved = y
+                break
         v = _outside_radical(case, Q, P.generators)
         if v is not None:
             failures.append(
@@ -741,13 +776,8 @@ def verify_primary_properties(case):
                 "component": label,
                 "variables": [str(y) for y in variables],
             })
-        for y in variables:
-            assert not nf_p(y).is_zero, "witness accidentally inside the prime"
-            if not _colon_fixes(Q, y):
-                failures.append(
-                    {"kind": "colon_moves_component", "component": label, "y": str(y)}
-                )
-                break
+        if moved is not None:
+            failures.append({"kind": "colon_moves_component", "component": label, "y": str(moved)})
     return _report(claim, case, t0, failures)
 
 
@@ -933,28 +963,58 @@ def _unit_binomial(g):
     return u, v
 
 
-def _binomial_s_polynomials(ring, pairs):
-    """S-polynomials of unit binomials as pairs of packed monomials.
+def _bounded_s_polynomials(ring, pairs, lo, hi):
+    """The map (a, b) -> whether S(g_a, g_b) is zero or a binomial of two
+    cubics with one index sum within [lo, hi], for unit binomials g.
 
     pairs[a] = (u_a, v_a) is generator a as `_unit_binomial` splits it.
-    The map (a, b) -> (s, t) gives S(g_a, g_b) = s - t: with
-    L = lcm(u_a, u_b),
+    With L = lcm(u_a, u_b),
     S = (L/u_a)*(u_a + v_a) - (L/u_b)*(u_b + v_b) = (L/u_a)*v_a - (L/u_b)*v_b,
-    the leading terms cancelling, so s = (L/u_a)*v_a and t = (L/u_b)*v_b.
-    S is zero when s = t, and otherwise the binomial s - t, whose
-    coefficients 1 and -1 differ since the characteristic is not 2.  The
-    exponents of L/u_a and v_a are below 2**14, so no field of their
-    product carries.  This is `s_polynomials` on packed integers, with no
-    coefficient arithmetic.
+    the leading terms cancelling, so S = s - t with s = (L/u_a)*v_a and
+    t = (L/u_b)*v_b.  The exponents of L/u_a and v_a are below 2**14, so
+    no field of their product carries: on packed monomials s = L + d_a and
+    t = L + d_b, with d = v - u.  S is zero when s = t, that is when
+    d_a = d_b, and otherwise the binomial s - t, whose coefficients 1 and
+    -1 differ since the characteristic is not 2.
+
+    Degree and index sum I(m) = e_1 + 2*e_2 + ... + N*e_N are additive over
+    exponent vectors: deg s = deg L + (deg v_a - deg u_a) and
+    I(s) = I(L) + (I(v_a) - I(u_a)), and likewise for t.  So with
+    k = (deg v - deg u, I(v) - I(u)), worked out once per generator, s and
+    t have one degree and one index sum exactly when k_a = k_b; then both
+    are cubics when s is, and their index sum is I(s).  Each pair costs one
+    lcm, one degree and one index sum, those of s = L + d_a, and a pair
+    with k_a != k_b no lcm at all.  This is `s_polynomials` on packed
+    integers, with no coefficient arithmetic.
+
+    I(m) is the field of m * w at x1's position, where w holds k in the
+    field k - 1 places above x_N's; every field of that product is at most
+    deg(m) * N, so for a cubic s (N <= 4096) nothing carries.  The
+    generators' own index sums are summed from their exponents, exact at
+    any degree.
     """
     lcm = ring.mono_lcm
+    nvars = ring.nvars
+    w = sum(k << (k - 1) * _BITS for k in range(1, nvars + 1))
+    shift = (nvars - 1) * _BITS
 
-    def spoly(a, b):
-        (ua, va), (ub, vb) = pairs[a], pairs[b]
-        L = lcm(ua, ub)
-        return L - ua + va, L - ub + vb
+    def index_sum(m):
+        return sum(k * e for k, e in enumerate(ring.unpack(m), 1))
 
-    return spoly
+    lts = [u for u, _ in pairs]
+    diffs = [v - u for u, v in pairs]
+    keys = [(_degree(v) - _degree(u), index_sum(v) - index_sum(u)) for u, v in pairs]
+
+    def bounded(a, b):
+        d = diffs[a]
+        if d == diffs[b]:
+            return True
+        if keys[a] != keys[b]:
+            return False
+        s = lcm(lts[a], lts[b]) + d
+        return _degree(s) == 3 and lo <= (s * w >> shift) & _FMASK <= hi
+
+    return bounded
 
 
 def verify_bound_lemma(case):
@@ -966,40 +1026,22 @@ def verify_bound_lemma(case):
 
     The lemma is about the permanents, each u + v with both coefficients
     1, and the check makes sure of that premise first: a generator of
-    another form fails the claim by name.  Then the S-polynomials come as
-    packed monomial pairs (s, t), S = s - t (`_binomial_s_polynomials`):
-    S is zero when s = t and otherwise a binomial with coefficients 1 and
-    -1, so only the degrees and index sums are left to check.  A failing
-    pair's S-polynomial is built by `s_polynomials` for the witness.
-
-    The index sum e_1 + 2*e_2 + ... + N*e_N of a packed monomial m is the
-    field of m * w at x1's position, where w holds k in the field k - 1
-    places above x_N's; every field of that product is at most
-    deg(m) * N, so for a cubic (N <= 4096) nothing carries.
+    another form fails the claim by name.  Then each pair is decided on
+    packed monomials (`_bounded_s_polynomials`): S = s - t is zero or a
+    binomial with coefficients 1 and -1, so only the degrees and index
+    sums are left to check.  A failing pair's S-polynomial is built by
+    `s_polynomials` for the witness.
     """
     t0 = time.perf_counter()
     claim = "lemma.bound"
     ring = case.ring
-    nvars = case.nvars
-    lo, hi = 7, 3 * (case.m + case.n) - 7
-    w = sum(k << (k - 1) * _BITS for k in range(1, nvars + 1))
-    shift = (nvars - 1) * _BITS
 
     gens = case.p2.generators
     pairs = [_unit_binomial(g) for g in gens]
     if None in pairs:
         failure = {"kind": "generator_not_unit_binomial", "generator": str(gens[pairs.index(None)])}
         return _report(claim, case, t0, [failure])
-    spoly = _binomial_s_polynomials(ring, pairs)
-
-    def bounded(a, b):
-        # zero, or two cubics with one index sum, within [lo, hi]
-        s, t = spoly(a, b)
-        return s == t or (
-            _degree(s) == 3 == _degree(t)
-            and (k := (s * w >> shift) & _FMASK) == (t * w >> shift) & _FMASK
-            and lo <= k <= hi
-        )
+    bounded = _bounded_s_polynomials(ring, pairs, 7, 3 * (case.m + case.n) - 7)
 
     checked = 0
     lts = [u for u, _ in pairs]  # the lex leading terms

@@ -24,7 +24,9 @@ from permahank import (
     rewrite_monomial_indices,
     saturate,
 )
+from permahank.groebner import _minimal_indices
 from permahank.ring import _RevlexOrder
+from permahank.verify import _bounded_s_polynomials
 
 
 def compare(R, a, b, order=LEX):
@@ -304,6 +306,77 @@ def test_reduced_basis_invariant_under_generator_order(perm):
     gens = permanent_generators(HankelMatrix(3, 3))
     want = buchberger(gens).elements
     assert buchberger([gens[i] for i in perm]).elements == want
+
+
+# -- minimal leading terms -------------------------------------------------------
+
+R6 = Ring(6)
+
+
+@pytest.mark.parametrize("order", [LEX, _RevlexOrder(6), _RevlexOrder(6, 4)])
+@given(
+    pool=st.lists(st.tuples(*[st.integers(0, 2)] * 6), min_size=1, max_size=12),
+    picks=st.lists(st.integers(0, 11), min_size=1, max_size=40),
+)
+def test_minimal_indices_match_the_plain_scan(order, pool, picks):
+    # drawn from a small pool, so equal leading terms recur; index i is kept
+    # exactly when no other term divides lt i, save an equal one after i
+    lts = [R6.pack(pool[k % len(pool)]) for k in picks]
+    scan = [
+        i for i, a in enumerate(lts)
+        if not any(
+            R6.mono_div(a, b) is not None and (b != a or j < i)
+            for j, b in enumerate(lts) if j != i
+        )
+    ]
+    assert _minimal_indices(lts, order, R6.guard) == scan
+
+
+# -- the bound lemma's pair check --------------------------------------------------
+
+def _near_permanent(its):
+    """x_i*x_(i+s+t) + x_(i+s)*x_(i+t+d): a permanent of R6 for d = 0, and one
+    with a wrong index otherwise."""
+    i, s, t, d = its
+    u = tuple(int(k == i) + int(k == i + s + t) for k in range(1, 7))
+    v = tuple(int(k == i + s) + int(k == i + t + d) for k in range(1, 7))
+    return _sorted_pair((u, v))
+
+
+def _sorted_pair(ab):
+    return tuple(sorted(map(R6.pack, ab), reverse=True))  # lex: the larger leads
+
+
+binomial_terms = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 2), st.integers(-1, 1))
+    .filter(lambda its: its[0] + its[1] + its[2] <= 6)
+    .map(_near_permanent),
+    st.tuples(st.tuples(*[st.integers(0, 3)] * 6), st.tuples(*[st.integers(0, 3)] * 6))
+    .map(_sorted_pair),
+).filter(lambda uv: uv[0] != uv[1])
+
+
+@given(pairs=st.lists(binomial_terms, min_size=2, max_size=10), lo=st.integers(4, 12),
+       width=st.integers(0, 8))
+def test_bound_check_matches_both_terms_read_per_pair(pairs, lo, width):
+    # the per-generator degree and index-sum shifts decide each pair as
+    # reading the degree and index sum of both s and t does, on permanents,
+    # permanents with a wrong index, and unit binomials of any degree
+    hi = lo + width
+    bounded = _bounded_s_polynomials(R6, pairs, lo, hi)
+
+    def isum(m):
+        return sum(k * e for k, e in enumerate(R6.unpack(m), 1))
+
+    for a in range(len(pairs)):
+        for b in range(a + 1, len(pairs)):
+            (ua, va), (ub, vb) = pairs[a], pairs[b]
+            L = R6.mono_lcm(ua, ub)
+            s, t = L - ua + va, L - ub + vb
+            want = s == t or (
+                R6.deg(s) == 3 == R6.deg(t) and isum(s) == isum(t) and lo <= isum(s) <= hi
+            )
+            assert bounded(a, b) == want
 
 
 # -- rewriting oracle -------------------------------------------------------------

@@ -47,7 +47,7 @@ from permahank.verify import (
     CHECK_NAMES,
     VerificationReport,
     _basis_failure,
-    _binomial_s_polynomials,
+    _bounded_s_polynomials,
     _unit_binomial,
     _colon_fixes,
     _colon_witnesses,
@@ -855,21 +855,19 @@ def test_membership_lemma_checks_the_brute_force_products(monkeypatch):
 
 
 def test_bound_lemma_reports_the_first_unbounded_spair(monkeypatch):
-    # every packed S-polynomial comes back as two quartics; the first pair
-    # fails, and its witness is built by s_polynomials (here doubled, so the
-    # witness shows where it came from)
+    # every pair comes back unbounded; the first pair fails, and its witness
+    # is built by s_polynomials (here doubled, so the witness shows where it
+    # came from)
     checked, built = [], []
 
-    def quartics(ring, pairs):
-        spoly = _binomial_s_polynomials(ring, pairs)
-        x1 = ring.var(1)._lm_packed()
-        return _counting(checked, lambda i, j: tuple(u + x1 for u in spoly(i, j)))
+    def unbounded(ring, pairs, lo, hi):
+        return _counting(checked, lambda i, j: False)
 
     def doubled(G):
         spoly = s_polynomials(G)
         return _counting(built, lambda i, j: 2 * spoly(i, j))
 
-    monkeypatch.setattr("permahank.verify._binomial_s_polynomials", quartics)
+    monkeypatch.setattr("permahank.verify._bounded_s_polynomials", unbounded)
     monkeypatch.setattr("permahank.verify.s_polynomials", doubled)
     rep = verify_bound_lemma(Case(2, 3))
     assert rep.witness == {
@@ -877,7 +875,7 @@ def test_bound_lemma_reports_the_first_unbounded_spair(monkeypatch):
         "pair": ["x1*x3 + x2^2", "x1*x4 + x2*x3"],
         "spoly": "2*x2^2*x4 - 2*x2*x3^2",
     }
-    # one S-polynomial checked, then one built for the witness
+    # one pair checked, then one S-polynomial built for the witness
     assert checked == built == [(0, 1)]
 
 
@@ -889,10 +887,10 @@ def test_bound_lemma_reports_the_first_unbounded_packed_spair(monkeypatch):
     monkeypatch.setattr(case, "p2", Ideal(case.ring, gens))
     calls, built = [], []
 
-    def counted(ring, pairs):
-        return _counting(calls, _binomial_s_polynomials(ring, pairs))
+    def counted(ring, pairs, lo, hi):
+        return _counting(calls, _bounded_s_polynomials(ring, pairs, lo, hi))
 
-    monkeypatch.setattr("permahank.verify._binomial_s_polynomials", counted)
+    monkeypatch.setattr("permahank.verify._bounded_s_polynomials", counted)
     monkeypatch.setattr(
         "permahank.verify.s_polynomials", lambda G: _counting(built, s_polynomials(G))
     )
@@ -908,10 +906,10 @@ def test_bound_lemma_reports_the_first_unbounded_packed_spair(monkeypatch):
 def test_bound_lemma_forms_the_pairs_sharing_a_leading_variable(monkeypatch):
     formed = []
 
-    def recording(ring, pairs):
-        return lambda i, j: formed.append((i, j)) or (0, 0)
+    def recording(ring, pairs, lo, hi):
+        return lambda i, j: formed.append((i, j)) or True
 
-    monkeypatch.setattr("permahank.verify._binomial_s_polynomials", recording)
+    monkeypatch.setattr("permahank.verify._bounded_s_polynomials", recording)
     for m, n in default_grid():
         case = Case(m, n, 32003)
         formed.clear()
@@ -924,6 +922,18 @@ def test_bound_lemma_forms_the_pairs_sharing_a_leading_variable(monkeypatch):
         ]
         assert formed == want, (m, n)
         assert rep.detail == f"pairs={len(want)}"
+
+
+def _pair_with_spoly(case, s, t):
+    """Two unit binomials whose one S-polynomial is s - t, for monomials s, t.
+
+    g_a = x1^10 * x_j + s and g_b = x1^10 + t / x_j, x_j the last variable
+    of t: their leading terms share x1, L = x1^10 * x_j, and
+    S = g_a - x_j * g_b = s - t.
+    """
+    x = case.x
+    j = case.ring.support(t._lm_packed(LEX))[-1]
+    return [x(1) ** 10 * x(j) + s, x(1) ** 10 + _exact_div(t, x(j))]
 
 
 def _rejects_the_generator_behind(case, f):
@@ -967,19 +977,22 @@ def _rejects_the_generator_behind(case, f):
     ("x1*x2*x4", False),
 ])
 def test_bound_lemma_reads_index_sums_from_packed_monomials(spoly, ok, monkeypatch):
-    # the packed path hands over S = s - t, so every binomial with
-    # coefficients 1 and -1 goes through it; the other two forms need a
-    # generator outside its premise, and the claim rejects that generator
+    # the packed path decides S = s - t, so every binomial with coefficients
+    # 1 and -1 goes through it, as the one S-polynomial of a pair of unit
+    # binomials; the other two forms need a generator outside its premise,
+    # and the claim rejects that generator
     case = Case(3, 4)
     f = parse(spoly, case.ring)
     by_coefficient = {c: u for u, c in f._d.items()}
     one, minus = case.ring.coeff(1), case.ring.coeff(-1)
     if len(f) == 2 and set(by_coefficient) == {one, minus}:
-        s, t = by_coefficient[one], by_coefficient[minus]
-        monkeypatch.setattr(
-            "permahank.verify._binomial_s_polynomials", lambda ring, pairs: lambda i, j: (s, t)
-        )
-        assert verify_bound_lemma(case).passed is ok
+        s, t = (Polynomial._raw(case.ring, {by_coefficient[c]: one}) for c in (one, minus))
+        gens = _pair_with_spoly(case, s, t)
+        assert s_polynomials(gens)(0, 1) == f
+        monkeypatch.setattr(case, "p2", Ideal(case.ring, gens))
+        rep = verify_bound_lemma(case)
+        assert rep.passed is ok
+        assert _outcome(rep) == reference_bound_lemma(case)
     else:
         assert spoly in ("x1*x2*x4 + x1*x3^2", "x1*x2*x4") and not ok
         _rejects_the_generator_behind(case, f)
@@ -987,11 +1000,11 @@ def test_bound_lemma_reads_index_sums_from_packed_monomials(spoly, ok, monkeypat
 
 def test_bound_lemma_passes_a_zero_packed_spair(monkeypatch):
     case = Case(3, 4)
-    u = case.x(1).leading_monomial()
-    monkeypatch.setattr(
-        "permahank.verify._binomial_s_polynomials", lambda ring, pairs: lambda i, j: (u, u)
-    )
-    assert verify_bound_lemma(case).passed
+    s = case.x(2) * case.x(3)
+    gens = _pair_with_spoly(case, s, s)
+    assert s_polynomials(gens)(0, 1).is_zero
+    monkeypatch.setattr(case, "p2", Ideal(case.ring, gens))
+    assert _outcome(verify_bound_lemma(case)) == ("pass", None, "pairs=1")
 
 
 def reference_bound_lemma(case):
@@ -1029,6 +1042,46 @@ def reference_bound_lemma(case):
     return "pass", None, f"pairs={checked}"
 
 
+def per_pair_bound_lemma(case):
+    """lemma.bound with each pair's S = s - t formed on packed monomials and
+    the degree and index sum of both s and t read, the per-pair check that
+    the per-generator keys of `_bounded_s_polynomials` replace."""
+    ring = case.ring
+    lo, hi = 7, 3 * (case.m + case.n) - 7
+    w = sum(k << (k - 1) * _BITS for k in range(1, case.nvars + 1))
+    shift = (case.nvars - 1) * _BITS
+    gens = case.p2.generators
+    pairs = [_unit_binomial(g) for g in gens]
+    if None in pairs:
+        return "fail", {
+            "kind": "generator_not_unit_binomial", "generator": str(gens[pairs.index(None)]),
+        }, ""
+
+    def bounded(a, b):
+        (ua, va), (ub, vb) = pairs[a], pairs[b]
+        L = ring.mono_lcm(ua, ub)
+        s, t = L - ua + va, L - ub + vb
+        return s == t or (
+            _degree(s) == 3 == _degree(t)
+            and (k := (s * w >> shift) & _FMASK) == (t * w >> shift) & _FMASK
+            and lo <= k <= hi
+        )
+
+    lts = [u for u, _ in pairs]
+    checked = 0
+    for a, b in combinations(range(len(gens)), 2):
+        if lts[a] == lts[b] or not ring.mono_gcd(lts[a], lts[b]):
+            continue
+        checked += 1
+        if not bounded(a, b):
+            return "fail", {
+                "kind": "spair_not_bounded_binomial",
+                "pair": [str(gens[a]), str(gens[b])],
+                "spoly": str(s_polynomials(gens)(a, b)),
+            }, ""
+    return "pass", None, f"pairs={checked}"
+
+
 def _outcome(rep):
     return rep.status, rep.witness, rep.detail
 
@@ -1038,7 +1091,8 @@ def test_packed_bound_lemma_agrees_with_the_reference_on_the_grid(char):
     for m, n in default_grid():
         case = Case(m, n, char)
         assert all(map(_unit_binomial, case.p2.generators))
-        assert _outcome(verify_bound_lemma(case)) == reference_bound_lemma(case), (m, n)
+        got = _outcome(verify_bound_lemma(case))
+        assert got == reference_bound_lemma(case) == per_pair_bound_lemma(case), (m, n)
 
 
 def test_packed_bound_lemma_agrees_with_the_reference_on_8x21():
@@ -1088,6 +1142,7 @@ def test_packed_bound_lemma_on_bad_generators(monkeypatch):
                 assert (_unit_binomial(new) is None) is (kind != "index"), kind
                 got = _outcome(verify_bound_lemma(case))
                 want = reference_bound_lemma(case)
+                assert got == per_pair_bound_lemma(case), (m, n, char, kind)
                 if kind == "index":
                     assert got == want, (m, n, char, kind)
                 else:

@@ -1566,6 +1566,151 @@ def test_claim_groups_read_one_basis_of_p2(char, monkeypatch):
             assert on_p2 == [_RevlexOrder(case.nvars)], (shape, checks)
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+def test_closed_form_ideals_get_one_basis_each(char, monkeypatch):
+    # a full run, decomp.main alone and primary.components alone build P2's
+    # reverse-lex basis with x1 smallest, the second saturation's basis of
+    # P2 + (x_N^2), and one basis of each closed component: q1's with x_N
+    # smallest and q2's with x1 smallest, the bases their colons read; the
+    # intersection of q1 and q2 only on 4x5, which lists no alpha; no lex
+    # basis of q1, q2 or a span of variables
+    runs = []
+
+    def recording(gens, order, *args, **kwargs):
+        runs.append((tuple(gens), order))
+        return buchberger(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr("permahank.ideal_ops.buchberger", recording)
+    for shape in [(4, 6), (2, 9), (4, 5)]:
+        for checks in (None, ["decomp"], ["primary"]):
+            runs.clear()
+            case = Case(*shape, char)
+            assert all(r.passed for r in run_case(case, checks)), (shape, checks)
+            N = case.nvars
+            first = _RevlexOrder(N)
+            names = {
+                case.p2.generators: "p2",
+                case.p2._cache[first].elements + (case.x(N) ** 2,): "p2 + x_N^2",
+                case.q1.generators: "q1",
+                case.q2.generators: "q2",
+            }
+            got = [
+                (names.get(gens, "other") if gens[0].ring == case.ring else "intersection", order)
+                for gens, order in runs
+            ]
+            components = [("q1", _RevlexOrder(N, N)), ("q2", first)]
+            if checks == ["primary"]:
+                want = components + [("p2", first)]
+            else:
+                want = [("p2", first), ("p2 + x_N^2", first)]
+                want += [("intersection", LEX)] * (alphas(case) is None) + components
+            assert got == want, (shape, checks)
+            for P in case.primes + (case.maximal_ideal,):
+                assert list(P._cache) == [LEX], (shape, checks)
+
+
+def test_spans_are_their_own_reduced_lex_basis():
+    for char in (0, 32003):
+        case = Case(4, 6, char)
+        for lo, hi in [(1, 1), (1, 8), (2, 9), (1, 9), (3, 5)]:
+            span = case._span(lo, hi)
+            assert span.reduced_basis() == buchberger(span.generators, LEX), (char, lo, hi)
+            assert span.reduced_basis().is_reduced
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_radical_member_agrees_whatever_basis_is_cached(char):
+    # every variable against q1, q2 and J: with no basis of the ideal cached,
+    # with only a reverse-lex basis cached (q1's with x_N smallest, the
+    # others' with x1 smallest), and with its lex basis cached; x_N against
+    # q1 and x1 against q2 lie outside the radical and take the slow path
+    for shape in default_grid():
+        case = Case(*shape, char)
+        N = case.nvars
+        for Q, revlex in (
+            (case.q1, _RevlexOrder(N, N)),
+            (case.q2, _RevlexOrder(N)),
+            (embedded_j(case), _RevlexOrder(N)),
+        ):
+            bare = Ideal(case.ring, Q.generators)
+            by_revlex = Ideal(case.ring, Q.generators, _basis=Q.reduced_basis(revlex))
+            by_lex = Ideal(case.ring, Q.generators, _basis=Q.reduced_basis())
+            for k in range(1, N + 1):
+                x = case.x(k)
+                answers = {radical_member(x, I) for I in (bare, by_revlex, by_lex)}
+                assert len(answers) == 1, (shape, str(x))
+            # the reverse-lex basis served: no lex basis was built beside it
+            assert list(by_revlex._cache) == [revlex], shape
+        assert not radical_member(case.x(N), case.q1) and not radical_member(case.x(1), case.q2)
+
+
+# (shape, component, mutant) -> the decomp.main and primary.components
+# witnesses, the same in both fields, as the claims reported them while the
+# components were checked against their lex bases
+_MUTANT_WITNESSES = {
+    ((4, 6), "q1", "sign"): ({"kind": "q1_mismatch", "witness": "x7*x9 + x8^2"}, None),
+    ((4, 6), "q1", "extra"): (
+        {"kind": "q1_mismatch", "witness": "x8"},
+        {"kind": "colon_moves_component", "component": "q1", "y": "x9"},
+    ),
+    ((4, 6), "q2", "drop"): (
+        {"kind": "q2_mismatch", "witness": "x4^2"},
+        {"failures": [
+            {"kind": "prime_generator_outside_radical", "component": "q2", "generator": "x4"},
+            {"kind": "colon_moves_component", "component": "q2", "y": "x1"},
+        ]},
+    ),
+    ((4, 6), "q2", "swap"): (
+        {"kind": "q2_mismatch", "witness": "x5^2"},
+        {"kind": "prime_generator_outside_radical", "component": "q2", "generator": "x5"},
+    ),
+    ((2, 9), "q1", "sign"): ({"kind": "q1_mismatch", "witness": "x8*x10 + x9^2"}, None),
+    ((2, 9), "q1", "extra"): (
+        {"kind": "q1_mismatch", "witness": "x9"},
+        {"kind": "colon_moves_component", "component": "q1", "y": "x10"},
+    ),
+    ((2, 9), "q2", "drop"): (
+        {"kind": "q2_mismatch", "witness": "x1*x7 + x4^2"},
+        {"failures": [
+            {"kind": "prime_generator_outside_radical", "component": "q2", "generator": "x4"},
+            {"kind": "colon_moves_component", "component": "q2", "y": "x1"},
+        ]},
+    ),
+    ((2, 9), "q2", "swap"): (
+        {"kind": "q2_mismatch", "witness": "x5"},
+        {"kind": "prime_generator_outside_radical", "component": "q2", "generator": "x5"},
+    ),
+}
+
+
+def _closed_form_mutant(case, tag, kind):
+    """q1 or q2 with one generator changed: the last one's sign flipped, a
+    variable of the prime added, the last one dropped, or the first one
+    replaced by x3^2."""
+    x, r = case.x, case.r
+    gens = list((case.q1 if tag == "q1" else case.q2).generators)
+    if kind == "sign":
+        gens[-1] = x(r - 1) * x(r + 1) - x(r) ** 2
+    elif kind == "extra":
+        gens.append(x(r))
+    elif kind == "drop":
+        gens.pop()
+    else:
+        gens[0] = x(3) ** 2
+    return Ideal(case.ring, gens)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_mutated_closed_forms_fail_with_the_same_witnesses(char, monkeypatch):
+    for (shape, tag, kind), want in _MUTANT_WITNESSES.items():
+        case = Case(*shape, char)
+        fake = _closed_form_mutant(case, tag, kind)
+        with monkeypatch.context() as mp:
+            mp.setattr(f"permahank.verify.{tag}", lambda c: fake)
+            got = tuple(r.witness for r in run_case(case, ["decomp", "primary"]))
+        assert got == want, (shape, tag, kind)
+
+
 def test_outside_radical_falls_back_without_p2s_generators(monkeypatch):
     case = Case(3, 4)
     x, p2 = case.x, case.p2

@@ -23,13 +23,17 @@ proof is in its docstring, and the computation lives on in the tests.
 So no basis is built twice: one basis of P2, its reduced reverse-lex
 basis with x1 smallest, decides every membership in P2 (`Case._in_p2`);
 a passing closed-form check proves its interreduction to be P2's reduced
-lex basis by containment, with no lex basis of P2 built; the
-decomposition compares each saturation with its closed form by
-containment, against the saturation's own reverse-lex basis and the
-closed form's lex basis; the S-polynomials of two permanents u + v
-are formed on packed monomials; and the monomials of the lemma checks,
-the alphas and their multiples by a variable go into the reducer tables
-as packed monomials, with no polynomial built per monomial.
+lex basis by containment, with no lex basis of P2 built; each closed
+component q1, q2 has one basis, its reduced reverse-lex basis with its
+outside variable smallest, which its colon check builds and the
+decomposition's containment and the radical test read; a span of
+variables, a minimal prime or the maximal ideal, is its own reduced lex
+basis, with no Buchberger run (`Case._span`); the S-polynomials of two
+permanents u + v are decided on packed monomials, with each generator's
+degree and index-sum shifts worked out once; and the monomials of the
+lemma checks, the alphas and their multiples by a variable go into the
+reducer tables as packed monomials, with no polynomial built per
+monomial.
 """
 
 from __future__ import annotations
@@ -726,9 +730,9 @@ def verify_primary_properties(case):
     the outside variable smallest.  The colons run before the radical
     test, so `radical_member` finds that basis cached on Q and reads it:
     Q1 and Q2 each get one basis, and no lex basis of Q or of P is built
-    (P, a span of variables, is its own).  When Q has homogeneous generators and P,
-    generated by variables, misses at most one of them, this proves Q
-    P-primary:
+    (P, a span of variables, is its own).  When Q has homogeneous
+    generators and P, generated by variables, misses at most one of them,
+    this proves Q P-primary:
 
     * Q1 and Q2.  P is generated by every variable but x_k.  The
       associated primes of a homogeneous Q are homogeneous (Eisenbud,
@@ -980,11 +984,11 @@ def _bounded_s_polynomials(ring, pairs, lo, hi):
     Degree and index sum I(m) = e_1 + 2*e_2 + ... + N*e_N are additive over
     exponent vectors: deg s = deg L + (deg v_a - deg u_a) and
     I(s) = I(L) + (I(v_a) - I(u_a)), and likewise for t.  So with
-    k = (deg v - deg u, I(v) - I(u)), worked out once per generator, s and
-    t have one degree and one index sum exactly when k_a = k_b; then both
+    c = (deg v - deg u, I(v) - I(u)), worked out once per generator, s and
+    t have one degree and one index sum exactly when c_a = c_b; then both
     are cubics when s is, and their index sum is I(s).  Each pair costs one
     lcm, one degree and one index sum, those of s = L + d_a, and a pair
-    with k_a != k_b no lcm at all.  This is `s_polynomials` on packed
+    with c_a != c_b no lcm at all.  This is `s_polynomials` on packed
     integers, with no coefficient arithmetic.
 
     I(m) is the field of m * w at x1's position, where w holds k in the

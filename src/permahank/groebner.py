@@ -31,7 +31,14 @@ The pair update runs on the packed monomials directly, with the same
 guard-bit arithmetic as the support masks below: b divides a exactly when
 ((a | guard) - b) & guard == guard, and that difference's guard bits also
 mark the fields where a's exponent is at least b's, which gives the lcm as
-a fieldwise maximum.
+a fieldwise maximum.  The pairs wait in one heap, each with its lcm L.
+Gebauer and Moeller's B-criterion, which drops a queued pair (i, j) when a
+later element's leading term divides L and gives lcms other than L with
+both, is decided when the pair is popped, against the entries after j:
+that skips the pairs the update would have dropped as each element
+entered (proved in `buchberger`'s docstring).  An entry with a variable
+that L lacks cannot divide L, which its support mask shows, so most
+entries cost one AND.
 
 A run may start from a known reduced basis K of part of the ideal
 (`buchberger`'s private `_known`, which `Ideal.reduced_basis` passes for
@@ -578,12 +585,31 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True, *, _known=0):
         (the generators reduced on entry, their tails interreduced, in
         input order), then the reduced S-polynomials.
     use_chain : bool
-        With True (default) apply the Gebauer-Moeller criteria: prune old
-        pairs whose lcm factors through the new element, keep only minimal
-        lcms and one representative pair per lcm, and skip pairs whose
-        leading terms are coprime.  With False queue every pair, coprime
-        ones too (but never one of two monomial entries): the all-pairs
-        reference that the criteria must agree with.
+        With True (default) apply the Gebauer-Moeller criteria: when an
+        element enters, queue only its minimal lcms, one representative
+        pair per lcm, and no pair whose leading terms are coprime; when a
+        pair (i, j), i < j, with lcm L leaves the queue, skip it if an
+        entry k > j has a leading term dividing L with lcm(lt i, lt k) and
+        lcm(lt j, lt k) both other than L (the B-criterion).  With False
+        queue and form every pair, coprime ones too (but never one of two
+        monomial entries): the all-pairs reference that the criteria must
+        agree with.
+
+        Deciding the B-criterion as a pair leaves the queue skips exactly
+        the pairs that Gebauer and Moeller's update deletes as each element
+        enters.  That update tests every queued pair against each entering
+        element k and deletes it when k passes the test above; a pair it
+        keeps is formed when popped.  A pair (i, j) enters the queue with
+        j, and the heap and its keys are the same under either rule, so by
+        induction over the pops it leaves the queue at the same point of
+        the run.  The elements that entered while it was queued are then
+        exactly the entries after j, and the update deletes it exactly when
+        one of them passes, which is what the check decides.  So the same
+        pairs are formed in the same order, and the raw basis is the one
+        the update gives.  No entry k < j passes for a queued pair: lt k
+        dividing L with lcm(lt j, lt k) != L makes that lcm a proper
+        divisor of L, and the minimal-lcm selection at j's entry would
+        have dropped L.
     _known : int
         Private, for `Ideal.reduced_basis`: the first `_known` generators
         are already the reduced Groebner basis K of their ideal under the
@@ -633,8 +659,7 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True, *, _known=0):
     red = []     # reducer entries of the monic basis elements, parallel to lts
     tailed = []  # indices of the entries with a tail, ascending
     top = 0      # largest degree in lts
-    pairs = []   # heap of (lcm key, i, j)
-    alive = {}   # (i, j) -> packed lcm
+    pairs = []   # heap of (lcm key, i, j, packed lcm)
 
     def entry(d):
         """The monic reducer entry of the nonzero term dict d."""
@@ -645,15 +670,6 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True, *, _known=0):
         lm = e[0]
         mono = not e[2]  # a monomial entry: it has no tail
         t = len(lts)
-        if use_chain:  # no pair is alive while K's elements enter
-            dead = [
-                ij for ij, L in alive.items()
-                if ((L | guard) - lm) & guard == guard
-                and L != lcm(lts[ij[0]], lm)
-                and L != lcm(lts[ij[1]], lm)
-            ]
-            for ij in dead:
-                del alive[ij]
         if t < _known:
             queue = ()  # no pair of two of K's elements (see Notes)
         elif use_chain and mono and 2 * len(tailed) < t:
@@ -688,8 +704,7 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True, *, _known=0):
         for i, L in queue:
             if mono and not red[i][2]:
                 continue
-            alive[(i, t)] = L
-            heappush(pairs, (key(L), i, t))
+            heappush(pairs, (key(L), i, t, L))
         lts.append(lm)
         red.append(e)
         if not mono:
@@ -715,11 +730,20 @@ def buchberger(gens, order=LEX, reduce=True, use_chain=True, *, _known=0):
     for e in _reduce_tails(entries, ring, order):
         add_element(e)
 
+    fill = guard - (guard >> 15)
     while pairs:
-        _, i, j = heappop(pairs)
-        if (i, j) not in alive:
-            continue
-        del alive[(i, j)]
+        _, i, j, L = heappop(pairs)
+        if use_chain:
+            # the B-criterion against the entries after j (see use_chain);
+            # an entry with a variable that L lacks cannot divide L
+            Lg, a, b = L | guard, lts[i], lts[j]
+            zL = ((L + fill) & guard) ^ guard  # guard bits of the fields where L is 0
+            if any(
+                (Lg - c) & guard == guard and L != lcm(a, c) and L != lcm(b, c)
+                for c, mask, _ in islice(red, j + 1, None)
+                if not mask & zL
+            ):
+                continue
         s = _spoly_dict(red[i], red[j], ring)
         if not s:
             continue

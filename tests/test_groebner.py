@@ -596,6 +596,76 @@ def test_pairs_formed_on_4x5(name, char, monkeypatch):
     assert len(formed) == PAIRS_FORMED_4X5[name]
 
 
+# Per shape, field and order, the length and digest of Buchberger's raw basis
+# and the number of S-polynomials it forms, recorded while the B-criterion
+# was still decided by sweeping the queued pairs as each element entered.
+# "revlex" has x1 smallest and "revlex_xN" x_N; "known" starts from P2's
+# reduced "revlex" basis K plus x_N^2 with _known=len(K), as the second
+# saturation does, and "known_x1" from P2's "revlex_xN" basis plus x1^2.
+PAIR_WORK = {
+    ("2x9", 0, "deglex"): (58, "4d31b9f5c2f17325", 336),
+    ("2x9", 0, "known"): (57, "3e6b599dd14b86ee", 0),
+    ("2x9", 0, "known_x1"): (61, "30916c661ede58e5", 9),
+    ("2x9", 0, "lex"): (64, "6627401e9eb3ad66", 357),
+    ("2x9", 0, "revlex"): (56, "f86b1cc26e26baf3", 312),
+    ("2x9", 0, "revlex_xN"): (58, "5b1eb89388e6fe6b", 323),
+    ("2x9", 32003, "deglex"): (58, "da5e0b31dab86e23", 336),
+    ("2x9", 32003, "known"): (57, "7c4a80f683d85149", 0),
+    ("2x9", 32003, "known_x1"): (61, "56b5cd6df706230f", 9),
+    ("2x9", 32003, "lex"): (64, "4aacca236ec71d01", 357),
+    ("2x9", 32003, "revlex"): (56, "70dd3abff9ba63ee", 312),
+    ("2x9", 32003, "revlex_xN"): (58, "ede3a3b51e513031", 323),
+    ("4x5", 0, "deglex"): (32, "fea86c7bb22924b6", 36),
+    ("4x5", 0, "known"): (29, "e03798ad6b7158d1", 0),
+    ("4x5", 0, "known_x1"): (33, "050934b03d9419e4", 3),
+    ("4x5", 0, "lex"): (32, "ade28390389a35f4", 36),
+    ("4x5", 0, "revlex"): (28, "52d86d8b9eb7b4c4", 29),
+    ("4x5", 0, "revlex_xN"): (30, "8a2603f13a7ec81d", 34),
+    ("4x5", 32003, "deglex"): (32, "fea86c7bb22924b6", 36),
+    ("4x5", 32003, "known"): (29, "e03798ad6b7158d1", 0),
+    ("4x5", 32003, "known_x1"): (33, "050934b03d9419e4", 3),
+    ("4x5", 32003, "lex"): (32, "ade28390389a35f4", 36),
+    ("4x5", 32003, "revlex"): (28, "52d86d8b9eb7b4c4", 29),
+    ("4x5", 32003, "revlex_xN"): (30, "8a2603f13a7ec81d", 34),
+    ("5x6", 0, "deglex"): (51, "ff9d52dd2c0bf1c7", 48),
+    ("5x6", 0, "known"): (48, "7b4cc3aa4265c22b", 0),
+    ("5x6", 0, "known_x1"): (52, "e8ae5a5eff7621f2", 3),
+    ("5x6", 0, "lex"): (51, "21e5af451b8a0e5a", 48),
+    ("5x6", 0, "revlex"): (47, "002fd35b96745a9c", 39),
+    ("5x6", 0, "revlex_xN"): (49, "1e33bc6a09b4af2f", 46),
+    ("5x6", 32003, "deglex"): (51, "ff9d52dd2c0bf1c7", 48),
+    ("5x6", 32003, "known"): (48, "7b4cc3aa4265c22b", 0),
+    ("5x6", 32003, "known_x1"): (52, "e8ae5a5eff7621f2", 3),
+    ("5x6", 32003, "lex"): (51, "21e5af451b8a0e5a", 48),
+    ("5x6", 32003, "revlex"): (47, "002fd35b96745a9c", 39),
+    ("5x6", 32003, "revlex_xN"): (49, "1e33bc6a09b4af2f", 46),
+}
+
+
+@pytest.mark.parametrize("shape,char,name", sorted(PAIR_WORK), ids=lambda v: str(v))
+def test_pair_work_matches_the_record(shape, char, name, monkeypatch):
+    want = PAIR_WORK[shape, char, name]
+    gens = perms(*map(int, shape.split("x")), char)
+    R = gens[0].ring
+    N = R.nvars
+    orders = {"lex": LEX, "deglex": DEGLEX, "revlex": _RevlexOrder(N), "revlex_xN": _RevlexOrder(N, N)}
+    known = 0
+    if name.startswith("known"):
+        name, v = ("revlex", N) if name == "known" else ("revlex_xN", 1)
+        K = buchberger(gens, orders[name])
+        gens, known = K.elements + (R.var(v) ** 2,), len(K)
+    formed = []
+    spoly = groebner._spoly_dict
+
+    def counted(a, b, ring):
+        formed.append(1)
+        return spoly(a, b, ring)
+
+    monkeypatch.setattr(groebner, "_spoly_dict", counted)
+    raw = buchberger(gens, orders[name], reduce=False, _known=known).elements
+    assert (len(raw), digest(raw), len(formed)) == want
+
+
 def mixed_degree_inputs(R, name):
     """f, g, h, k in three variables: lt(f) = x1 * lt(g), h = f + x3*g, and k."""
     # reverse-lex makes x1 the smallest variable, so it swaps x1 and x3

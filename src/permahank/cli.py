@@ -28,7 +28,7 @@ import functools
 import json
 import sys
 
-from .ring import LEX, MonomialOrder, parse
+from .ring import _MAXVARS, LEX, MonomialOrder, parse
 from .groebner import normal_form
 from .hankel import HankelMatrix, permanent_generators
 from .ideal_ops import Ideal, colon, ideal_from_dict, intersect, polys_to_dict
@@ -222,6 +222,10 @@ def _cmd_verify(args):
         grid = [(args.m, args.n)]
     elif args.grid:
         grid = _parse_grid(args.grid)
+    # a ring has at most _MAXVARS variables, and the default grid of a budget K
+    # would list about K^2/4 shapes in memory first
+    elif args.max_vars > _MAXVARS:
+        raise ValueError(f"--max-vars over {_MAXVARS} needs --grid or --m/--n, got {args.max_vars}")
     else:
         grid = default_grid(args.max_vars)
     shapes = []

@@ -77,7 +77,9 @@ for its entries, one for its S-pair reductions), `_reduce_tails` and
 on term dicts it returns, which its caller keeps for a loop over one basis
 and then drops.  `reducer` wraps that map for polynomials; the verifier
 calls it with packed monomials {m: c}, building no polynomial per
-monomial.  `normal_form` is one call of a fresh `reducer`.  Nothing is
+monomial.  `normal_form` is one call of a fresh `reducer`, and
+`_first_outside` one `reducer` over a list, up to the first poly whose
+normal form is nonzero: the batch containment test.  Nothing is
 cached on a GroebnerBasis, so no memo outlives the caller that needed it.
 """
 
@@ -371,6 +373,27 @@ def normal_form(f, G, order=None):
     order defaults as in `reducer`, which reduces many f against one G.
     """
     return reducer(G, order)(f)
+
+
+def _first_outside(polys, G, order=None):
+    """The first nonzero poly whose normal form modulo G is nonzero, or None.
+
+    When G is a Groebner basis under the order, that is the first poly
+    outside the ideal of G, since a poly lies in it exactly when it reduces
+    to zero.  The order defaults as in `reducer`.  The reducer table of G
+    is built at the first nonzero poly, so none is built when none comes;
+    against an empty G every nonzero poly is outside.  Every batch
+    containment of the verifier and `why_unequal` asks this one loop.
+    """
+    G, order = _basis_and_order(G, order)
+    nf = None
+    for f in (f for f in polys if not f.is_zero):
+        if not G:
+            return f
+        nf = nf or reducer(G, order)
+        if not nf(f).is_zero:
+            return f
+    return None
 
 
 class GroebnerBasis:

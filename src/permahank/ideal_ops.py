@@ -35,7 +35,7 @@ from .ring import (
     LEX, MonomialOrder, Polynomial, Ring, _BITS, _EMAX, _FMASK, _RevlexOrder, _degree,
     extend, lift, parse, restrict,
 )
-from .groebner import GroebnerBasis, _exact_div, buchberger, reducer
+from .groebner import GroebnerBasis, _exact_div, _first_outside, buchberger, reducer
 
 SATURATION_CAP = 64
 
@@ -327,18 +327,17 @@ def why_unequal(I, J):
     """A generator of one ideal missing from the other, or None when equal.
 
     Useful as a machine-checkable witness after a failed equality test.
+    The generators of I are tried first, against J's reduced lex basis,
+    then those of J against I's; no basis is built for a side with no
+    generators to test or none to test against.
     """
     if I.ring != J.ring:
         raise ValueError("ideals belong to different rings")
     for A, B in ((I, J), (J, I)):
-        if not A.generators:
-            continue
-        if B.is_zero:
-            return A.generators[0]
-        nf = reducer(B.reduced_basis())
-        for g in A.generators:
-            if not nf(g).is_zero:
-                return g
+        if A.generators:
+            w = _first_outside(A.generators, B.reduced_basis() if B.generators else ())
+            if w is not None:
+                return w
     return None
 
 

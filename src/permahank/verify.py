@@ -47,10 +47,11 @@ from itertools import combinations, combinations_with_replacement
 from .ring import _BITS, _EMAX, _FMASK, LEX, Polynomial, _packed_variables, _RevlexOrder, _degree
 from .groebner import (
     GroebnerBasis,
+    _first_outside,
     _term_reducer,
     inter_reduce,
     is_groebner,
-    normal_form,  # unused here, but perfbench's tracer wraps verify.normal_form
+    normal_form,
     reducer,
     s_polynomials,
 )
@@ -62,7 +63,6 @@ from .ideal_ops import (
     intersect,
     radical_member,
     saturate,
-    why_unequal,
 )
 from .hankel import HankelMatrix, permanent_ideal, permanent_index_triples
 
@@ -397,10 +397,10 @@ def _basis_failure(G, H=None):
     element of G, lying in (G) = (H), reduces to zero modulo H.  Most of
     H is monomials, and a pair of two monomials has no S-polynomial.
 
-    A failing pair of H gives `buchberger_criterion_fails`.  A nonzero
-    remainder of an element of G gives `nonminimal_element_not_reduced`:
-    it is a nonzero element of (G) with no term divisible by a leading
-    term of G.
+    A failing pair of H gives `buchberger_criterion_fails`.  The first
+    element of G with a nonzero remainder gives
+    `nonminimal_element_not_reduced`, with that remainder: it is a nonzero
+    element of (G) with no term divisible by a leading term of G.
     """
     if H is None:
         H = inter_reduce(G)
@@ -408,28 +408,11 @@ def _basis_failure(G, H=None):
     if not ok:
         f, g, r = wit
         return {"kind": "buchberger_criterion_fails", "pair": [str(f), str(g)], "remainder": str(r)}
-    nf = reducer(H)
-    for g in G:
-        r = nf(g)
-        if not r.is_zero:
-            return {"kind": "nonminimal_element_not_reduced", "element": str(g), "remainder": str(r)}
+    g = _first_outside(G, H)
+    if g is not None:
+        r = normal_form(g, H)
+        return {"kind": "nonminimal_element_not_reduced", "element": str(g), "remainder": str(r)}
     return None
-
-
-def _all_inside(polys, basis, order=None):
-    """Whether every one of the polys lies in the ideal of the Groebner basis.
-
-    A poly lies in the ideal of a Groebner basis exactly when it reduces to
-    zero modulo the basis, under the basis's order (`reducer`'s default).
-    No reducer table is built for an empty list.
-    """
-    polys = list(polys)
-    if not polys:
-        return True
-    if not len(basis):
-        return False
-    nf = reducer(basis, order)
-    return all(nf(f).is_zero for f in polys)
 
 
 def verify_gb(case):
@@ -470,7 +453,7 @@ def verify_gb(case):
     if (
         failure is None
         and all(case._in_p2(g) for g in cf if g not in gens)
-        and _all_inside((g for g in p2.generators if g not in listed), interreduced)
+        and _first_outside((g for g in p2.generators if g not in listed), interreduced) is None
     ):
         reduced = interreduced  # P2's reduced lex basis, by the containments
     else:
@@ -562,9 +545,14 @@ def verify_decomposition(case):
     outside variable smallest, x_N for q1 and x1 for q2: the basis that
     `colon(q, y)` reads for `primary.components`, so each closed form gets
     one basis.  Every generator of the closed form, mapped into the
-    saturation, must reduce to zero modulo the saturation's basis.  Only
-    on a mismatch does `why_unequal` name a generator of one ideal that
-    the other misses.
+    saturation, must reduce to zero modulo the saturation's basis.  Both
+    containments go through `_first_outside`, and a mismatch's witness is
+    the poly at which one failed: the first generator of the component
+    outside the closed form, or else the first generator g of the closed
+    form with into(g) outside the saturation, mapped back by sigma for q1.
+    Membership does not depend on which Groebner basis decides it, so this
+    is the generator `why_unequal(component, closed)` names, and no lex
+    basis is built on a mismatch either.
 
     Also asserts that J is proper, which it is when no generator has a
     constant term (J then lies in the maximal ideal; only otherwise is
@@ -596,11 +584,10 @@ def verify_decomposition(case):
     ):
         component = s[tag]
         basis = sat.generators if s[f"{tag}_stab"] else sat.reduced_basis(order)
-        if not (
-            _all_inside(component.generators, _revlex_basis(closed, k))
-            and _all_inside(map(into, closed.generators), basis, order)
-        ):
-            w = why_unequal(component, closed)
+        w = _first_outside(component.generators, _revlex_basis(closed, k))
+        if w is None and (w := _first_outside(map(into, closed.generators), basis, order)):
+            w = into(w)  # into is its own inverse
+        if w is not None:
             failures.append({"kind": f"{tag}_mismatch", "witness": str(w)})
         if s[f"{tag}_stab"] > 2:
             failures.append({"kind": f"{tag}_chain_not_stable"})
@@ -644,7 +631,7 @@ def classify_embedded(case):
     q1q2 = case.q1q2
     if not all(map(in_p2, q1q2.generators)):
         return True
-    return not _all_inside(case.p2.generators, q1q2.reduced_basis())
+    return _first_outside(case.p2.generators, q1q2.reduced_basis()) is not None
 
 
 def decomposition_summary(case):
@@ -714,7 +701,7 @@ def _colon_fixes(Q, y):
     homogeneous generators, so Q gets no other basis.
     """
     (k,) = Q.ring.support(y._lm_packed(LEX))
-    return _all_inside(colon(Q, y).generators, _revlex_basis(Q, k))
+    return _first_outside(colon(Q, y).generators, _revlex_basis(Q, k)) is None
 
 
 def verify_primary_properties(case):

@@ -127,6 +127,29 @@ def test_verify_max_vars_below_four_rejected(capsys):
     assert rc == 0 and out.endswith("3/3 checks passed\n")
 
 
+def test_verify_default_grid_over_4096_variables_rejected(capsys, monkeypatch):
+    # no ring has more than 4096 variables, and the default grid of budget K
+    # lists about K^2/4 shapes, so a larger budget is refused before the grid
+    # is built; a grid or a shape keeps any budget.  Both stand-ins record
+    # their calls, so no shape is built or checked.
+    built, grids = [], []
+    monkeypatch.setattr("permahank.cli.default_grid", lambda k: built.append(k) or [])
+    monkeypatch.setattr("permahank.cli.run_all", lambda grid, char, checks: grids.append(grid) or [])
+    for value in ("4097", "100000"):
+        for fmt in ("text", "json"):
+            rc, out, err = run(capsys, "verify", "--max-vars", value, "--format", fmt)
+            assert rc == 2 and out == "" and "--max-vars" in err and "4096" in err
+            assert "Traceback" not in err
+    assert built == [] and grids == []
+    rc, out, _ = run(capsys, "verify", "--max-vars", "4096")
+    assert rc == 0 and out == "0/0 checks passed\n" and built == [4096]
+    rc, _, _ = run(capsys, "verify", "--grid", "2x3,3x3", "--max-vars", "100000")
+    assert rc == 0
+    rc, _, _ = run(capsys, "verify", "--m", "3", "--n", "2", "--max-vars", "100000")
+    assert rc == 0
+    assert grids == [[], [(2, 3), (3, 3)], [(2, 3)]]
+
+
 def test_verify_text_table(capsys):
     rc, out, _ = run(capsys, "verify", "--grid", "2x3", "--check", "decomp")
     assert rc == 0

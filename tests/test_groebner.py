@@ -35,6 +35,7 @@ from permahank import (
 from permahank import groebner, ideal_ops
 from permahank.groebner import (
     _exact_div,
+    _first_outside,
     _minimal_lcms,
     _monomial_pairs,
     _nf_dict,
@@ -1226,3 +1227,68 @@ def test_reducer_rejects_another_ring():
     with pytest.raises(ValueError, match="different rings"):
         nf(Ring(5).var(1))
     assert nf(Ring(4).var(1)) == Ring(4).var(1)
+
+
+# -- one containment loop: the first poly outside, against per-poly normal forms
+
+
+def first_outside_by_normal_forms(polys, G, order):
+    """The first nonzero poly with a nonzero normal form, one `normal_form` per poly."""
+    for f in polys:
+        if not f.is_zero and (not G or not normal_form(f, G, order).is_zero):
+            return f
+    return None
+
+
+@pytest.mark.parametrize("name", ["lex", "deglex", "revlex"])
+@pytest.mark.parametrize("ring", [Ring(3), Ring(3, 32003)], ids=["q3", "gfp3"])
+@given(data=st.data())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_first_outside_agrees_with_per_poly_normal_forms(ring, name, data):
+    order = entry_order(name, ring.nvars)
+    # G is any list, at most by chance a Groebner basis, and may be empty
+    G = data.draw(memo_polys(ring, data.draw(st.integers(0, 3))))
+    # zeros, duplicates, G's own elements and multiples of them, which reduce
+    # to zero modulo a Groebner basis but need not modulo G
+    pool = data.draw(memo_polys(ring, 4)) + [ring.zero()] + G + [g * ring.var(2) for g in G]
+    polys = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    want = first_outside_by_normal_forms(polys, G, order)
+    assert _first_outside(polys, G, order) is want
+    assert _first_outside(iter(polys), G, order) is want
+    if G:
+        # the ideal of G's Groebner basis: the same question as membership
+        B = buchberger(G, order)
+        got = _first_outside(polys, B)
+        assert got is first_outside_by_normal_forms(polys, B.elements, order)
+        assert got is next((f for f in polys if not f.is_zero and f not in B), None)
+
+
+def test_first_outside_builds_one_table_and_only_when_needed(monkeypatch):
+    tables = []
+
+    def counting(*args):
+        tables.append(args)
+        return _prepare(*args)
+
+    monkeypatch.setattr(groebner, "_prepare", counting)
+    R = Ring(3)
+    x, zero = R.var, R.zero()
+    B = buchberger([x(1) ** 2 - x(2), x(1) * x(3)], DEGLEX)
+    # no nonzero poly: no table, whatever G is
+    assert _first_outside([], B) is None and _first_outside([zero, zero], B) is None
+    assert _first_outside([zero], ()) is None and tables == []
+    # against an empty G every nonzero poly is outside, with no table
+    polys = [zero, x(2), x(1)]
+    assert _first_outside(polys, ()) is polys[1]
+    assert _first_outside(polys, GroebnerBasis((), LEX, True)) is polys[1]
+    assert tables == []
+    # one table for the whole list, under B's own order; it stops at the first outside
+    inside = [x(1) ** 2 * x(3), zero, x(1) ** 3 - x(1) * x(2)]
+    assert _first_outside(inside, B) is None and len(tables) == 1
+    assert tables[0][2] == DEGLEX
+    outside = x(3) ** 2
+    assert _first_outside(inside + [outside, x(2)], B) is outside and len(tables) == 2
+    with pytest.raises(ValueError, match="order"):
+        _first_outside([x(1)], B, LEX)
+    with pytest.raises(ValueError, match="different rings"):
+        _first_outside([Ring(4).var(1)], B)

@@ -40,7 +40,7 @@ from permahank import (
     verify_primary_properties,
     verify_reduction_lemma,
 )
-from permahank import ideal_ops
+from permahank import groebner, ideal_ops
 from permahank.ideal_ops import _has_homogeneous_generators
 from permahank.ideal_ops import radical_member, saturate
 from permahank.verify import (
@@ -1709,6 +1709,70 @@ def test_mutated_closed_forms_fail_with_the_same_witnesses(char, monkeypatch):
             mp.setattr(f"permahank.verify.{tag}", lambda c: fake)
             got = tuple(r.witness for r in run_case(case, ["decomp", "primary"]))
         assert got == want, (shape, tag, kind)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_mutant_witnesses_come_from_the_failed_containment(char, monkeypatch):
+    # decomp.main names the generator that why_unequal(component, closed)
+    # names, read off the containment that failed, so a failing run builds
+    # no lex basis: not of the mutant, of a saturation or of P2
+    lex_runs = []
+
+    def recording(gens, order, *args, **kwargs):
+        if order == LEX:
+            lex_runs.append(tuple(gens))
+        return buchberger(gens, order, *args, **kwargs)
+
+    for (shape, tag, kind), (want, _) in _MUTANT_WITNESSES.items():
+        case = Case(*shape, char)
+        fake = _closed_form_mutant(case, tag, kind)
+        lex_runs.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(f"permahank.verify.{tag}", lambda c: fake)
+            mp.setattr("permahank.ideal_ops.buchberger", recording)
+            (rep,) = run_case(case, ["decomp"])
+        assert rep.witness == want and lex_runs == [], (shape, tag, kind)
+        component = decomposition_summary(Case(*shape, char))[tag]
+        assert want["witness"] == str(ideal_ops.why_unequal(component, fake)), (shape, tag, kind)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_run_case_builds_as_many_reducer_tables_as_before(char, monkeypatch):
+    # every reducer table is built by groebner._prepare: a full run_case on
+    # 4x6 and on 2x9 built 16 while verify kept its own containment loops,
+    # and builds 16 with every batch containment in `_first_outside`
+    tables = []
+    monkeypatch.setattr("permahank.groebner._prepare", _counting(tables, groebner._prepare))
+    for shape in [(4, 6), (2, 9)]:
+        tables.clear()
+        assert all(r.passed for r in run_case(Case(*shape, char))), shape
+        assert len(tables) == 16, shape
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_the_two_saturations_agree(char):
+    # S = (P2 : x1^infinity) equals Q2 = ((P2 + (x_N^2)) : x1^infinity).  By
+    # P2 = Q1 cap Q2 cap J, which decomp.main proves, with Q1 primary at
+    # P1 = (x1..xr), Q2 at P2' = (x2..xN) and J at the maximal ideal,
+    # (P2 : x1^infinity) is the intersection of the components' saturations
+    # at x1: x1 lies in P1 and in the maximal ideal, so those two become the
+    # whole ring, and not in P2', so Q2 stays.  That is the uniqueness of the
+    # component at the minimal prime P2'.  S comes from the reverse-lex run on
+    # P2 alone, Q2 from the run started from that basis plus x_N^2
+    # (buchberger's `_known`), so this checks the one run against the other.
+    # With exponent > 0 each record lists a Groebner basis of its saturation
+    # under the reverse-lex order with x1 smallest, and containment both ways
+    # decides.  The exponents agree too, except on 2x3 (q1_stab 2, q2_stab 1).
+    for shape in default_grid() + [(2, 23), (9, 16), (12, 13)]:
+        case = Case(*shape, char)
+        s = decomposition_summary(case)
+        assert s["q1_stab"] > 0 and s["q2_stab"] > 0, shape
+        S, Q2 = s["s"].generators, s["q2"].generators
+        order = _RevlexOrder(case.nvars)
+        for A, B in ((S, Q2), (Q2, S)):
+            nf = reducer(B, order)
+            assert all(nf(f).is_zero for f in A), shape
+        assert (s["q1_stab"] == s["q2_stab"]) == (shape != (2, 3)), shape
 
 
 def test_outside_radical_falls_back_without_p2s_generators(monkeypatch):

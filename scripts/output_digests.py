@@ -16,8 +16,8 @@ no basis that another group would have cached first.
 
 Run it in two checkouts and diff the files: an engine change that keeps
 every output byte-identical gives no difference.  The full default grid in
-both fields takes about half a minute on a 2-core machine.  Uses only the
-standard library.
+both fields takes 8-9 s on a 2-core machine.  Uses only the standard
+library.
 """
 
 from __future__ import annotations

@@ -27,13 +27,13 @@ lex basis by containment, with no lex basis of P2 built; each closed
 component q1, q2 has one basis, its reduced reverse-lex basis with its
 outside variable smallest, which its colon check builds and the
 decomposition's containment and the radical test read; a span of
-variables, a minimal prime or the maximal ideal, is its own reduced lex
-basis, with no Buchberger run (`Case._span`); the S-polynomials of two
-permanents u + v are decided on packed monomials, with each generator's
-degree and index-sum shifts worked out once; and the monomials of the
-lemma checks, the alphas and their multiples by a variable go into the
-reducer tables as packed monomials, with no polynomial built per
-monomial.
+variables, a minimal prime or the maximal ideal, has no basis at all,
+since containment in it is read off supports (`_first_outside_span`);
+the S-polynomials of two permanents u + v are decided on packed
+monomials, with each generator's degree and index-sum shifts worked out
+once; and the monomials of the lemma checks, the alphas and their
+multiples by a variable go into the reducer tables as packed monomials,
+with no polynomial built per monomial.
 """
 
 from __future__ import annotations
@@ -46,13 +46,11 @@ from itertools import combinations, combinations_with_replacement
 
 from .ring import _BITS, _EMAX, _FMASK, LEX, Polynomial, _packed_variables, _RevlexOrder, _degree
 from .groebner import (
-    GroebnerBasis,
     _first_outside,
     _term_reducer,
     inter_reduce,
     is_groebner,
     normal_form,
-    reducer,
     s_polynomials,
 )
 from .ideal_ops import (
@@ -136,19 +134,8 @@ class Case:
         return self.ring.var(i)
 
     def _span(self, lo, hi):
-        """The ideal of the consecutive variables x_lo..x_hi, with its reduced
-        lex basis cached: the variables themselves, as listed.
-
-        The S-polynomial of two distinct variables x_i, x_j is
-        (x_i*x_j / x_i) * x_i - (x_i*x_j / x_j) * x_j = 0, so the list passes
-        the Buchberger criterion and is a Groebner basis.  Each variable is
-        monic, none divides another, and a monomial has no tail to reduce,
-        so the basis is reduced; under lex x_lo > ... > x_hi, so the list is
-        in the descending order that Buchberger returns.  The reduced basis
-        is unique, so this is the one a lex Buchberger run would build.
-        """
-        gens = [self.x(i) for i in range(lo, hi + 1)]
-        return Ideal(self.ring, gens, _basis=GroebnerBasis(gens, LEX, True))
+        """The ideal of the consecutive variables x_lo..x_hi."""
+        return Ideal(self.ring, [self.x(i) for i in range(lo, hi + 1)])
 
     @cached_property
     def p2(self):
@@ -161,8 +148,7 @@ class Case:
 
     @cached_property
     def primes(self):
-        """The two minimal primes over P2: spans of r consecutive variables,
-        each its own reduced lex basis (`_span`)."""
+        """The two minimal primes over P2: spans of r consecutive variables (`_span`)."""
         return self._span(1, self.r), self._span(2, self.r + 1)
 
     @cached_property
@@ -690,6 +676,23 @@ def _colon_witnesses(case):
     return out
 
 
+def _first_outside_span(polys, P):
+    """The first poly outside P, an ideal generated by variables, or None.
+
+    A polynomial f lies in the ideal of the variables x_i, i in S, exactly
+    when each of its terms contains some x_i with i in S.  If f = sum h_i*x_i,
+    every term of every product h_i*x_i contains x_i, and cancelling terms
+    in the sum adds none, so every term of f contains one.  Conversely, if
+    every term t of f has some x_i | t, then f = sum of c_t*(t/x_i)*x_i.
+    So the zero polynomial lies in P and a nonzero constant does not.  On
+    packed monomials x_i is one bit at the bottom of its field, so x_i
+    times `_FMASK` masks that field, and a term contains some x_i, i in S,
+    exactly when it shares a bit with the sum of those masks.
+    """
+    mask = _FMASK * sum({m for v in P.generators for m in v._d})
+    return next((f for f in polys if not all(m & mask for m in f._d)), None)
+
+
 def _colon_fixes(Q, y):
     """Whether (Q : y) = Q for a variable y = x_k, with no basis of the colon built.
 
@@ -716,10 +719,12 @@ def verify_primary_properties(case):
     no basis of the colon and decides it against Q's reverse-lex basis with
     the outside variable smallest.  The colons run before the radical
     test, so `radical_member` finds that basis cached on Q and reads it:
-    Q1 and Q2 each get one basis, and no lex basis of Q or of P is built
-    (P, a span of variables, is its own).  When Q has homogeneous
-    generators and P, generated by variables, misses at most one of them,
-    this proves Q P-primary:
+    Q1 and Q2 each get one basis, and no lex basis of Q is built.  P is
+    generated by variables, so Q lies in P exactly when each generator's
+    terms all contain a variable of P (`_first_outside_span`), and P gets
+    no basis; each y is a variable not among P's generators, so it lies
+    outside P.  When Q has homogeneous generators and P misses at most one
+    variable, this proves Q P-primary:
 
     * Q1 and Q2.  P is generated by every variable but x_k.  The
       associated primes of a homogeneous Q are homogeneous (Eisenbud,
@@ -739,26 +744,18 @@ def verify_primary_properties(case):
     claim = "primary.components"
     failures = []
     for label, Q, P, variables in _colon_witnesses(case):
-        nf_p = reducer(P.reduced_basis())
         # the colons first: they cache the reverse-lex basis that the radical
         # test then reads, so no lex basis of Q is built
-        moved = None
-        for y in variables:
-            assert not nf_p(y).is_zero, "witness accidentally inside the prime"
-            if not _colon_fixes(Q, y):
-                moved = y
-                break
+        moved = next((y for y in variables if not _colon_fixes(Q, y)), None)
         v = _outside_radical(case, Q, P.generators)
         if v is not None:
             failures.append(
                 {"kind": "prime_generator_outside_radical", "component": label, "generator": str(v)}
             )
-        for gq in Q.generators:
-            if not nf_p(gq).is_zero:
-                failures.append(
-                    {"kind": "component_outside_prime", "component": label, "generator": str(gq)}
-                )
-                break
+        if (gq := _first_outside_span(Q.generators, P)) is not None:
+            failures.append(
+                {"kind": "component_outside_prime", "component": label, "generator": str(gq)}
+            )
         if not _has_homogeneous_generators(Q):
             failures.append({"kind": "component_not_homogeneous", "component": label})
         if len(variables) > 1:

@@ -4,6 +4,7 @@ import random
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permahank import (
     Case,
@@ -51,6 +52,7 @@ from permahank.verify import (
     _unit_binomial,
     _colon_fixes,
     _colon_witnesses,
+    _first_outside_span,
     _monomial,
     _outside_radical,
     _report,
@@ -1214,6 +1216,68 @@ def test_non_primary_homogeneous_component_fails(monkeypatch):
     assert rep.witness == {"kind": "colon_moves_component", "component": "q1", "y": "x4"}
 
 
+@pytest.mark.parametrize("ring", [Ring(6), Ring(6, 32003)], ids=["q", "gfp"])
+@given(data=st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_support_test_agrees_with_normal_forms_modulo_the_variables(ring, data):
+    # the reference: a list of variables is a Groebner basis under any order
+    # (the S-polynomial of two monomials is zero), so a poly lies in the span
+    # exactly when its normal form modulo the list is zero
+    N = ring.nvars
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(1, N))
+        S = set(range(lo, data.draw(st.integers(lo, N)) + 1))
+    else:
+        S = data.draw(st.sets(st.integers(1, N), min_size=1, max_size=N))
+    gens = [ring.var(i) for i in sorted(S)]
+
+    def term(c, exps, outside):
+        # an outside term keeps only the variables not in S: a constant when it has none
+        return c, tuple(0 if outside and i in S else e for i, e in enumerate(exps, 1))
+
+    terms = st.builds(
+        term, st.integers(-4, 4).filter(bool), st.tuples(*[st.integers(0, 2)] * N), st.booleans()
+    )
+    # zero polys, constants, and polys that mix terms inside and outside the span
+    polys = data.draw(st.lists(st.lists(terms, max_size=4).map(ring.poly), max_size=6))
+    inside = [normal_form(f, gens, LEX).is_zero for f in polys]
+    # the generators in any order, and one listed twice
+    for P in (Ideal(ring, gens), Ideal(ring, gens[::-1] + gens[:1])):
+        assert [_first_outside_span([f], P) is None for f in polys] == inside
+        want = next((f for f, ok in zip(polys, inside) if not ok), None)
+        assert _first_outside_span(polys, P) is want
+
+
+# (shape, component) -> the generator that fails component_outside_prime and
+# the variable that moves the component, the same in both fields, as the claim
+# reported them while the prime's lex basis decided the containment
+_OUTSIDE_PRIME_WITNESSES = {
+    ((4, 6), "q1"): ("x6^2 + x9^2", "x9"),
+    ((4, 6), "q2"): ("x1^2 + x4^2", "x1"),
+    ((2, 9), "q1"): ("x7^2 + x10^2", "x10"),
+    ((2, 9), "q2"): ("x1^2 + x4^2", "x1"),
+}
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_component_with_a_term_outside_its_prime_fails(char, monkeypatch):
+    # q1's generator x_{r-2}^2 gains x_N^2, q2's mirror x4^2 gains x1^2: a
+    # same-degree term with no variable of the prime
+    for (shape, tag), (generator, y) in _OUTSIDE_PRIME_WITNESSES.items():
+        case = Case(*shape, char)
+        x, r = case.x, case.r
+        g, outside = (x(r - 2) ** 2, x(case.nvars)) if tag == "q1" else (x(4) ** 2, x(1))
+        gens = [f + outside ** 2 if f == g else f for f in getattr(case, tag).generators]
+        fake = Ideal(case.ring, gens)
+        with monkeypatch.context() as mp:
+            mp.setattr(f"permahank.verify.{tag}", lambda c: fake)
+            rep = verify_primary_properties(case)
+        assert rep.witness == {"failures": [
+            {"kind": "component_outside_prime", "component": tag, "generator": generator},
+            {"kind": "colon_moves_component", "component": tag, "y": y},
+        ]}, (shape, tag)
+
+
 # -- gb: the Buchberger criterion on the interreduced closed form ------------------
 
 
@@ -1573,7 +1637,8 @@ def test_closed_form_ideals_get_one_basis_each(char, monkeypatch):
     # P2 + (x_N^2), and one basis of each closed component: q1's with x_N
     # smallest and q2's with x1 smallest, the bases their colons read; the
     # intersection of q1 and q2 only on 4x5, which lists no alpha; no lex
-    # basis of q1, q2 or a span of variables
+    # basis of q1 or q2, and no basis at all of a span of variables, whose
+    # containments are read off supports
     runs = []
 
     def recording(gens, order, *args, **kwargs):
@@ -1606,7 +1671,7 @@ def test_closed_form_ideals_get_one_basis_each(char, monkeypatch):
                 want += [("intersection", LEX)] * (alphas(case) is None) + components
             assert got == want, (shape, checks)
             for P in case.primes + (case.maximal_ideal,):
-                assert list(P._cache) == [LEX], (shape, checks)
+                assert list(P._cache) == [], (shape, checks)
 
 
 def test_spans_are_their_own_reduced_lex_basis():
@@ -1614,8 +1679,8 @@ def test_spans_are_their_own_reduced_lex_basis():
         case = Case(4, 6, char)
         for lo, hi in [(1, 1), (1, 8), (2, 9), (1, 9), (3, 5)]:
             span = case._span(lo, hi)
-            assert span.reduced_basis() == buchberger(span.generators, LEX), (char, lo, hi)
-            assert span.reduced_basis().is_reduced
+            B = buchberger(span.generators, LEX)
+            assert B.elements == span.generators and B.is_reduced, (char, lo, hi)
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -1739,14 +1804,16 @@ def test_mutant_witnesses_come_from_the_failed_containment(char, monkeypatch):
 @pytest.mark.parametrize("char", [0, 32003])
 def test_run_case_builds_as_many_reducer_tables_as_before(char, monkeypatch):
     # every reducer table is built by groebner._prepare: a full run_case on
-    # 4x6 and on 2x9 built 16 while verify kept its own containment loops,
-    # and builds 16 with every batch containment in `_first_outside`
+    # 4x6 and on 2x9 built 16 while verify kept its own containment loops
+    # and while every batch containment went through `_first_outside`, and
+    # builds 13 now that primary.components decides containment in the
+    # primes P1, P2' and the maximal ideal from supports, with no table each
     tables = []
     monkeypatch.setattr("permahank.groebner._prepare", _counting(tables, groebner._prepare))
     for shape in [(4, 6), (2, 9)]:
         tables.clear()
         assert all(r.passed for r in run_case(Case(*shape, char))), shape
-        assert len(tables) == 16, shape
+        assert len(tables) == 13, shape
 
 
 @pytest.mark.parametrize("char", [0, 32003])
